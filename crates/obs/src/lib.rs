@@ -64,13 +64,13 @@
 //! supervisor.run
 //! ├── session.plan            (per shard attempt)
 //! ├── session.execute
-//! │   └── session.record
+//! │   └── session.persist_timelines
 //! ├── session.persist
 //! └── session.merge
 //! ```
 //!
 //! while a plain warm probe is `session.plan → session.probe
-//! [→ session.execute → session.record → session.persist]`.
+//! [→ session.execute → session.persist_timelines → session.persist]`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -137,7 +137,9 @@ pub struct ObsGuard {
     _serial: MutexGuard<'static, ()>,
 }
 
-fn serial_lock() -> &'static Mutex<()> {
+/// The install serialization lock: held by every [`ObsGuard`], and by tests
+/// that must observe telemetry switched off.
+pub(crate) fn serial_lock() -> &'static Mutex<()> {
     static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
     SERIAL.get_or_init(|| Mutex::new(()))
 }

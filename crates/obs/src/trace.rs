@@ -311,7 +311,9 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
-        // no install in this test binary: guards must not touch the stack
+        // hold the install lock so no concurrent test switches telemetry on
+        // underneath: disabled guards must not touch the stack
+        let _serial = crate::serial_lock().lock().unwrap_or_else(|p| p.into_inner());
         let g = crate::span("unit.test");
         assert_eq!(g.id(), 0);
         drop(g);

@@ -431,6 +431,14 @@ impl<'a> PlannedSweep<'a> {
     /// (rayon over the groups) and broadcasting within each group.
     /// Outcomes are returned in input order, each bit-identical to
     /// `engine().simulate_capped(...)` on the member itself.
+    ///
+    /// On the batch path the distinct canonical start nodes whose timelines
+    /// the groups will merge are recorded first, in parallel, one node per
+    /// task: groups sharing a start node would otherwise queue on that
+    /// node's one recording while the other workers idle.  Groups answered
+    /// without an explicit timeline (`δ > horizon`, or a finite-state
+    /// program above [`UNROLL_CAP`], which the symbolic path serves) add
+    /// no node, so nothing is recorded that the groups would not record.
     pub fn simulate_many(&self, queries: &[(Stic, Round)]) -> Vec<SimOutcome> {
         self.simulate_many_counted(queries).0
     }
@@ -450,6 +458,7 @@ impl<'a> PlannedSweep<'a> {
                 start = i;
             }
         }
+        self.prerecord_starts(groups.iter().map(|group| &queries[group[0]]));
         let per_group: Vec<SimOutcome> = groups
             .par_iter()
             .map(|group| {
@@ -466,6 +475,30 @@ impl<'a> PlannedSweep<'a> {
         }
         let outcomes = outcomes.into_iter().map(|o| o.expect("every query is grouped")).collect();
         (outcomes, ExecStats { executed: groups.len(), answered: queries.len() })
+    }
+
+    /// Record, in parallel, the timelines of the distinct canonical start
+    /// nodes that simulating `queries` on the batch path merges (see
+    /// [`PlannedSweep::simulate_many`] for which queries add none).
+    fn prerecord_starts<'q>(&self, queries: impl Iterator<Item = &'q (Stic, Round)>) {
+        if !matches!(self.engine.config().mode, EngineMode::Auto | EngineMode::Batch) {
+            return;
+        }
+        let symbolic = self.program().finite_state().is_some();
+        let mut starts: Vec<NodeId> = queries
+            .filter(|&&(stic, horizon)| {
+                stic.delay <= horizon && !(symbolic && horizon > UNROLL_CAP)
+            })
+            .flat_map(|(stic, _)| {
+                let canonical = self.canonical_stic(stic);
+                [canonical.earlier, canonical.later]
+            })
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        starts.par_iter().for_each(|&u| {
+            self.engine.cache().timeline(u);
+        });
     }
 
     /// Execute a whole plan: run only the representative queries and return
@@ -767,7 +800,7 @@ impl<'a> PlannedSweep<'a> {
 mod tests {
     use super::*;
     use anonrv_graph::generators::{oriented_ring, oriented_torus};
-    use anonrv_sim::{Navigator, Stop};
+    use anonrv_sim::{Navigator, Stop, SweepWalker};
 
     /// Deterministic mover/waiter mix (same idiom as the sim crate's tests).
     struct Walker {
@@ -829,6 +862,51 @@ mod tests {
         for (i, (stic, horizon)) in queries.iter().enumerate() {
             let direct = planned.engine().simulate_capped(stic, *horizon);
             assert_eq!(outcomes[i], direct, "{stic} horizon {horizon}");
+        }
+    }
+
+    #[test]
+    fn simulate_many_prerecords_exactly_the_start_nodes_it_merges() {
+        let g = oriented_ring(8).unwrap();
+        let program = Walker { seed: 11 };
+        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(200));
+        // offsets 1 and 3 under two delays: the four groups share the
+        // canonical earlier node; the offset-5 query waits past its horizon
+        let mut queries = Vec::new();
+        for u in g.nodes() {
+            for offset in [1, 3] {
+                for delta in [0, 2] {
+                    queries.push((Stic::new(u, (u + offset) % 8, delta), 200 as Round));
+                }
+            }
+        }
+        queries.push((Stic::new(2, 7, 150), 100));
+        let outcomes = planned.simulate_many(&queries);
+        // simulating the canonical queries one at a time records exactly
+        // the nodes they need
+        let lazy = PlannedSweep::new(&g, &program, EngineConfig::batch(200));
+        for (stic, horizon) in &queries {
+            lazy.simulate_capped(stic, *horizon);
+        }
+        let recorded = |p: &PlannedSweep| -> Vec<NodeId> {
+            p.engine().cache().computed_timelines().map(|(u, _)| u).collect()
+        };
+        assert_eq!(recorded(&planned), recorded(&lazy));
+        assert_eq!(planned.engine().cache().computed(), 3, "the earlier node and offsets 1, 3");
+        for (i, (stic, horizon)) in queries.iter().enumerate() {
+            assert_eq!(outcomes[i], planned.engine().simulate_capped(stic, *horizon), "{stic}");
+        }
+
+        // a finite-state program above the unroll cap is served symbolically
+        let walker = SweepWalker { seed: 0x5EED };
+        let huge = UNROLL_CAP + 1;
+        let symbolic = PlannedSweep::new(&g, &walker, EngineConfig::batch(huge));
+        let queries: Vec<(Stic, Round)> = queries.iter().map(|&(stic, _)| (stic, huge)).collect();
+        let outcomes = symbolic.simulate_many(&queries);
+        assert_eq!(symbolic.engine().cache().computed(), 0);
+        assert!(symbolic.engine().cache().computed_symbolic() > 0);
+        for (i, (stic, horizon)) in queries.iter().enumerate() {
+            assert_eq!(outcomes[i], symbolic.engine().simulate_capped(stic, *horizon), "{stic}");
         }
     }
 

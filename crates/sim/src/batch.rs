@@ -81,10 +81,12 @@ pub(crate) struct Seg {
     pub(crate) moves_before: u64,
 }
 
-/// Sink recording a full wait-compressed timeline (consecutive waits merge
-/// into their segment, so memory is one entry per *event*, not per round).
-/// Shared with the lockstep engine, which records the earlier agent through
-/// it on every call — exactly the work this module memoizes.
+/// Sink recording a full wait-compressed timeline as a `Seg` list
+/// (consecutive waits merge into their segment, so memory is one entry per
+/// *event*, not per round).  Used only by the lockstep engine, which
+/// records the earlier agent through it on every call and reads a
+/// segment's move count when it reports a meeting; [`Timeline::record`]
+/// writes its columns through `ColumnSink` instead.
 pub(crate) struct RecordSink {
     pub(crate) segs: Vec<Seg>,
     pub(crate) moves: u64,
@@ -108,6 +110,39 @@ impl EventSink for RecordSink {
                 let at = last.end;
                 self.moves += 1;
                 self.segs.push(Seg { node: to, start: at, end: at + 1, moves_before: self.moves });
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) {}
+}
+
+/// Sink recording a wait-compressed timeline straight into the `starts` and
+/// `nodes` columns of a [`Timeline`]: a move opens a segment, a wait only
+/// extends the open one, whose end `end` becomes the trailing sentinel when
+/// the run stops.
+struct ColumnSink {
+    starts: Vec<Round>,
+    nodes: Vec<u32>,
+    /// One past the last round of the open segment.
+    end: Round,
+}
+
+impl ColumnSink {
+    fn new(start_node: NodeId) -> Self {
+        ColumnSink { starts: vec![0], nodes: vec![start_node as u32], end: 1 }
+    }
+}
+
+impl EventSink for ColumnSink {
+    fn emit(&mut self, event: Event) -> Result<(), Stop> {
+        match event {
+            Event::Wait { rounds } => self.end += rounds,
+            Event::Move { to, .. } => {
+                self.starts.push(self.end);
+                self.nodes.push(to as u32);
+                self.end += 1;
             }
         }
         Ok(())
@@ -190,7 +225,10 @@ pub struct TimelineParts {
 
 impl Timeline {
     /// Execute `program` from `start` once, up to the local `horizon`, and
-    /// record its wait-compressed timeline.
+    /// record its wait-compressed timeline.  The run's events are written
+    /// straight into the `starts`/`nodes` columns (no intermediate segment
+    /// list), which are shrunk to their exact length before the occupancy
+    /// index is built.
     pub fn record(
         g: &PortGraph,
         program: &dyn AgentProgram,
@@ -198,21 +236,18 @@ impl Timeline {
         horizon: Round,
     ) -> Self {
         assert!(start < g.num_nodes(), "start node out of range");
-        let mut nav = GraphNavigator::new(g, start, horizon, RecordSink::new(start));
+        let mut nav = GraphNavigator::new(g, start, horizon, ColumnSink::new(start));
         let terminated = program.run(&mut nav).is_ok();
         let total_moves = nav.moves();
-        let record = nav.into_sink();
-        let segs = record.segs;
-        let finite_end = segs.last().expect("timeline starts non-empty").end;
-        let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 2);
-        starts.extend(segs.iter().map(|s| s.start));
-        let mut nodes: Vec<u32> = segs.iter().map(|s| s.node as u32).collect();
-        starts.push(finite_end);
+        let ColumnSink { mut starts, mut nodes, end } = nav.into_sink();
+        starts.push(end);
         if terminated {
             // the program ended by itself: it stays at its final node forever
             nodes.push(*nodes.last().expect("timeline starts non-empty"));
             starts.push(INFINITY);
         }
+        starts.shrink_to_fit();
+        nodes.shrink_to_fit();
         debug_assert_eq!(
             total_moves,
             (nodes.len() - 1 - usize::from(terminated)) as u64,
@@ -2330,5 +2365,96 @@ mod tests {
                 assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
             }
         }
+    }
+
+    /// Seeded mover/waiter mix for the recording differential: waits of
+    /// zero (a no-op), a few and very many rounds, and an optional
+    /// self-termination after `lifetime` actions.
+    struct SeededProgram {
+        seed: u64,
+        lifetime: Option<u64>,
+    }
+
+    impl AgentProgram for SeededProgram {
+        fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
+            let mut state = self.seed;
+            for _ in 0..self.lifetime.unwrap_or(u64::MAX) {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let roll = state >> 33;
+                match roll % 8 {
+                    0 => nav.wait(0)?,
+                    1 | 2 => nav.wait((roll % 9 + 1) as Round)?,
+                    3 => nav.wait((roll % 1000 + 100) as Round)?,
+                    _ => {
+                        nav.move_via(roll as usize % nav.degree())?;
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The lockstep engine's recording of `start`: the `RecordSink` segment
+    /// list plus the parked-forever tail it appends for a terminated run,
+    /// rebuilt into a timeline through its public segment format.
+    fn lockstep_recording(
+        g: &PortGraph,
+        program: &dyn AgentProgram,
+        start: NodeId,
+        horizon: Round,
+    ) -> Timeline {
+        let mut nav = GraphNavigator::new(g, start, horizon, RecordSink::new(start));
+        let terminated = program.run(&mut nav).is_ok();
+        let mut segs: Vec<TimelineSeg> = nav
+            .into_sink()
+            .segs
+            .iter()
+            .map(|s| TimelineSeg { node: s.node, start: s.start, end: s.end })
+            .collect();
+        if terminated {
+            let last = *segs.last().unwrap();
+            segs.push(TimelineSeg { node: last.node, start: last.end, end: INFINITY });
+        }
+        Timeline::from_segments(g.num_nodes(), horizon, segs).unwrap()
+    }
+
+    #[test]
+    fn column_recording_is_bit_identical_to_the_lockstep_segment_list() {
+        let mut rng = 0x5EED_CAFEu64;
+        let mut next = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let (mut terminated, mut cut) = (0, 0);
+        for case in 0..120u64 {
+            let n = 2 + next() as usize % 9;
+            let extra = (next() as usize % 4).min(n * (n - 1) / 2 - (n - 1));
+            let g = anonrv_graph::generators::random_connected(n, extra, next()).unwrap();
+            let horizon = match case % 4 {
+                0 => 0,
+                1 => 1,
+                _ => (next() % 5000) as Round,
+            };
+            let lifetime = (case % 3 == 0).then(|| next() % 40);
+            let program = SeededProgram { seed: next(), lifetime };
+            for start in g.nodes() {
+                let recorded = Timeline::record(&g, &program, start, horizon);
+                assert_eq!(
+                    recorded,
+                    lockstep_recording(&g, &program, start, horizon),
+                    "case {case}: start {start}, horizon {horizon}, lifetime {lifetime:?}"
+                );
+                // both columns are held at their exact length
+                assert_eq!(recorded.starts.capacity(), recorded.starts.len());
+                assert_eq!(recorded.nodes.capacity(), recorded.nodes.len());
+                if recorded.terminated() {
+                    terminated += 1;
+                } else {
+                    cut += 1;
+                }
+            }
+        }
+        // both kinds of run end occur: the `INFINITY` tail and the horizon cut
+        assert!(terminated > 0 && cut > 0, "{terminated} terminated, {cut} cut");
     }
 }

@@ -372,7 +372,7 @@ impl<'a> SweepSession<'a> {
         self.flush_timeline_metrics();
         if let Some(store) = self.store {
             if self.has_new_recordings() {
-                let _record_span = obs::span("session.record");
+                let _persist_span = obs::span("session.persist_timelines");
                 let _ = store.persist_engine(self.planned.engine(), &self.program_key);
             }
         }
@@ -382,7 +382,7 @@ impl<'a> SweepSession<'a> {
         self.flush_timeline_metrics();
         if let Some(store) = self.store {
             if self.has_new_recordings() {
-                let _record_span = obs::span("session.record");
+                let _persist_span = obs::span("session.persist_timelines");
                 store
                     .persist_engine(self.planned.engine(), &self.program_key)
                     .map_err(|e| format!("cannot persist timelines: {e}"))?;

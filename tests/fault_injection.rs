@@ -93,6 +93,9 @@ fn torn_writes_leave_only_reclaimable_debris_and_never_publish() {
     let err = session.run_plan(&plan).unwrap_err();
     assert!(err.contains("injected"), "{err}");
     drop(guard);
+    // hold the failpoint lock with nothing armed for the rest of the test,
+    // so a concurrent test's failpoints cannot fire in the clean rerun
+    let _quiet = fault::scoped("");
 
     // the rename never ran: nothing under an artifact name, only torn temps
     let (tmps, frames): (Vec<_>, Vec<_>) = std::fs::read_dir(&dir.0)
@@ -132,13 +135,16 @@ fn unreadable_frames_degrade_to_recompute_without_quarantining_intact_files() {
     let g = oriented_torus(3, 3).unwrap();
     let program = walker();
 
-    // populate a warm cache first
+    // populate a warm cache first, holding the failpoint lock with nothing
+    // armed so a concurrent test's failpoints cannot fire here
+    let quiet = fault::scoped("");
     let mut seed_session =
         SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
     let plan = SweepPlan::from_orbits(seed_session.orbits().clone(), vec![0, 1], HORIZON);
     let (seeded, prov) = seed_session.run_plan(&plan).unwrap();
     assert_eq!(prov, OutcomeProvenance::Cold);
     let reference = table_fingerprint(seeded.table());
+    drop(quiet);
 
     // a failing disk: every frame read errors.  Loads must degrade to a
     // miss (recompute), never to wrong data — and must not quarantine
@@ -152,6 +158,7 @@ fn unreadable_frames_degrade_to_recompute_without_quarantining_intact_files() {
     assert_eq!(table_fingerprint(recomputed.table()), reference);
     drop(guard);
 
+    let _quiet = fault::scoped("");
     assert_eq!(store.stats().unwrap().quarantined.files, 0, "intact files were quarantined");
     // with the fault gone the (rewritten) cache serves warm again
     let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
