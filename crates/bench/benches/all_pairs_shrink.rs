@@ -9,9 +9,6 @@
 //!   n² = 65 536 pairs and is still over an order of magnitude faster.
 //! * **short-horizon simulation** — a sweep of `simulate` calls through the
 //!   single-threaded lockstep engine versus the threaded streaming engine.
-//!
-//! `scripts/record_allpairs_bench.sh` captures the same kernels as JSON
-//! (BENCH_allpairs.json) for the long-term perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -7,9 +7,9 @@
 //!
 //! The lockstep baseline is timed on a 4 096-STIC sample (the full
 //! workload takes seconds per iteration — which is the point); the batch
-//! engine is timed on the *full* workload.  `scripts/record_sweep_bench.sh`
-//! measures both on the full workload and records the speedup in
-//! `BENCH_sweep.json`.
+//! engine is timed on the *full* workload.  End-to-end sweep timings come
+//! from the repository's benchmark (`ladder/`, declared in
+//! `BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

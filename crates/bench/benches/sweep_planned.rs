@@ -7,8 +7,9 @@
 //! computing the orbit partition from scratch each iteration (planning is
 //! part of the measured pipeline).
 //!
-//! `scripts/record_planned_bench.sh` measures both paths on the full
-//! workload and records the speedup in `BENCH_planned.json`.
+//! End-to-end planned-sweep timings, including the million-node streamed
+//! sweep, come from the repository's benchmark (`ladder/`, declared in
+//! `BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

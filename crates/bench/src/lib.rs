@@ -41,7 +41,7 @@ pub fn expect_met(outcome: &SimOutcome) -> Round {
 }
 
 // ---------------------------------------------------------------------------
-// the symm-sweep workload (BENCH_sweep.json / benches/sweep_batch.rs)
+// the symm-sweep workload (benches/sweep_batch.rs, benches/sweep_planned.rs)
 // ---------------------------------------------------------------------------
 
 /// Deterministic agent of the sweep workload (re-exported from
@@ -53,10 +53,11 @@ pub use anonrv_sim::SweepWalker;
 /// pseudo-random move/wait mix, but every action first burns `cost`
 /// rounds of a deterministic hash mix whose result feeds the decision —
 /// standing in for an algorithm with real per-round bookkeeping (label
-/// construction, UXS evaluation).  The store benchmark records with this
-/// program so trajectory recording dominates the cold run, which is what
-/// the warm paths skip: the cold/warm gap it measures is the one a real
-/// workload would see.
+/// construction, UXS evaluation).  The benchmark's `torus-cold` and
+/// `torus-warm` workloads (`ladder/`) record with this program so
+/// trajectory recording dominates the cold run, which is what the warm
+/// paths skip: the cold/warm gap they measure is the one a real workload
+/// would see.
 ///
 /// The mix feeds the walk, so the compiler cannot elide it, and the walk
 /// is a pure function of `(seed, cost)` — [`ExpensiveWalker::program_key`]

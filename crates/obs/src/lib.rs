@@ -17,8 +17,8 @@
 //! lock, no syscall.  Instrumented code that must build field values
 //! (e.g. `format!` a shard label) pre-checks [`enabled`] first.  This is
 //! the same discipline as the store's failpoint registry, and it is what
-//! keeps BENCH_store.json warm-serving numbers identical with telemetry
-//! compiled in.
+//! keeps the benchmark's warm-serving numbers (`ladder/`, `torus-warm`)
+//! identical with telemetry compiled in.
 //!
 //! ## Pipelines
 //!

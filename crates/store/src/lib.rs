@@ -64,8 +64,8 @@
 //! On a warm cache an exhaustive all-pairs × δ-grid sweep skips planning
 //! and trajectory recording entirely, and skips even the merges when a
 //! table recorded at the same (or any larger) horizon exists — the `anonrv
-//! sweep` CLI command and the `store_timing` benchmark drive precisely
-//! these paths.
+//! sweep` CLI command and the benchmark's `torus-cold` / `torus-warm`
+//! workloads (`ladder/`) drive precisely these paths.
 //!
 //! ## Failure model & recovery
 //!

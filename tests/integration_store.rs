@@ -1,11 +1,12 @@
 //! Integration tests of the persistent plan cache, the shard persistence
 //! and the `SweepSession` orchestrator (`anonrv-store`) through the
 //! umbrella crate: cache correctness under corruption, truncation and
-//! format staleness; warm-vs-cold and prefix-vs-cold bit-identity; and the
-//! exhaustive sharded-merge-vs-unsharded differential on the 3×4 torus.
+//! format staleness; warm-vs-cold (exact and timelines-only) and
+//! prefix-vs-cold bit-identity; and the exhaustive
+//! sharded-merge-vs-unsharded differential on the 3×4 torus.
 
 use anonrv::graph::generators::{oriented_ring, oriented_torus};
-use anonrv::plan::SweepPlan;
+use anonrv::plan::{PlannedSweep, SweepPlan};
 use anonrv::sim::{EngineConfig, Round, SimOutcome, Stic, SweepWalker};
 use anonrv::store::{OutcomeProvenance, Provenance, ShardSpec, Store, SweepSession};
 
@@ -62,6 +63,15 @@ fn warm_and_cold_planned_sweeps_are_bit_identical_end_to_end() {
     assert_eq!(provenance, OutcomeProvenance::WarmExact);
     assert_eq!(warm.stats().timeline_misses, 0, "warm run must not re-record");
     assert_eq!(warm_outcomes.table(), cold_outcomes.table(), "warm/cold differential");
+
+    // warm timelines only: the stored orbits and every start node's
+    // timeline preload, and the merges re-run to the cold table
+    let (orbits, orbit_provenance) = store.orbits(&g);
+    assert_eq!(orbit_provenance, Provenance::Warm);
+    let planned = PlannedSweep::from_orbits(orbits, &g, &program, EngineConfig::batch(HORIZON));
+    let warmed = store.warm_engine(planned.engine(), KEY);
+    assert_eq!(warmed.installed, g.num_nodes(), "every timeline must preload");
+    assert_eq!(planned.run(&plan).table(), cold_outcomes.table(), "warm-timelines differential");
 
     // ... while remaining bit-identical to direct simulation of every
     // member STIC
