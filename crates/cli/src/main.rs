@@ -1343,7 +1343,8 @@ mod tests {
         std::fs::write(dir.join("outcomes-0000.anrv"), b"garbage").unwrap();
 
         let stats = run(&argv(&["cache", &cache, "stats"])).unwrap();
-        assert!(stats.contains("orbits          1 file(s)"), "{stats}");
+        // ring:8's closed-form group is recomputed, never stored
+        assert!(stats.contains("orbits          0 file(s)"), "{stats}");
         assert!(stats.contains("timelines       1 file(s)"), "{stats}");
         assert!(stats.contains("outcomes        1 file(s)"), "{stats}");
         assert!(stats.contains("shards          2 file(s)"), "{stats}");

@@ -284,9 +284,15 @@ impl SymmetryGroup {
     /// BFS computation otherwise.  This is the constructor everything above
     /// the graph layer should use.
     pub fn of(g: &PortGraph) -> Self {
-        g.symmetry_hint()
-            .and_then(|hint| Self::from_hint(g, hint))
-            .unwrap_or_else(|| SymmetryGroup::Explicit(Automorphisms::compute(g)))
+        Self::closed_form(g).unwrap_or_else(|| Self::explicit(g))
+    }
+
+    /// The verified implicit group of `g`, or `None` when `g` carries no
+    /// [`SymmetryHint`] or its hint fails generator verification.  Cheap
+    /// (`O(n·Δ)`, no permutation table), so callers recompute it rather
+    /// than persist it.
+    pub fn closed_form(g: &PortGraph) -> Option<Self> {
+        g.symmetry_hint().and_then(|hint| Self::from_hint(g, hint))
     }
 
     /// Build the implicit group a hint describes, verifying **every
@@ -294,11 +300,6 @@ impl SymmetryGroup {
     /// the hint's shape does not match the graph or any generator fails —
     /// the caller falls back to the explicit computation, so a returned
     /// group is always proven (see the module docs).
-    ///
-    /// This is also the deserialisation path of the persistent plan cache:
-    /// an on-disk descriptor frame is re-verified here before it is
-    /// trusted, exactly as explicit permutation frames re-verify through
-    /// [`Automorphisms::from_permutations`].
     pub fn from_hint(g: &PortGraph, hint: SymmetryHint) -> Option<Self> {
         let n = g.num_nodes();
         match hint {
@@ -409,17 +410,6 @@ impl SymmetryGroup {
                     .expect("a group contains every element's inverse")
             }
             _ => self.apply_inv(k, 0),
-        }
-    }
-
-    /// The compact descriptor of an implicit group (what the persistent
-    /// plan cache serialises), `None` for the explicit fallback.
-    pub fn descriptor(&self) -> Option<SymmetryHint> {
-        match *self {
-            SymmetryGroup::Cyclic { .. } => Some(SymmetryHint::Cyclic),
-            SymmetryGroup::Torus { rows, cols } => Some(SymmetryHint::Torus { rows, cols }),
-            SymmetryGroup::Hypercube { dim } => Some(SymmetryHint::Hypercube { dim }),
-            SymmetryGroup::Explicit(_) => None,
         }
     }
 
@@ -640,9 +630,11 @@ mod tests {
     fn descriptors_round_trip_through_from_hint() {
         for g in [oriented_torus(4, 6).unwrap(), hypercube(4).unwrap(), oriented_ring(7).unwrap()] {
             let group = SymmetryGroup::of(&g);
-            let descriptor = group.descriptor().expect("implicit family");
-            let rebuilt = SymmetryGroup::from_hint(&g, descriptor).expect("descriptor verifies");
+            let hint = g.symmetry_hint().expect("implicit family");
+            let rebuilt = SymmetryGroup::from_hint(&g, hint).expect("hint verifies");
             assert_eq!(rebuilt, group);
+            assert_eq!(SymmetryGroup::closed_form(&g), Some(group));
         }
+        assert!(SymmetryGroup::closed_form(&path(5).unwrap()).is_none());
     }
 }

@@ -3,11 +3,13 @@
 //! A [`Store`] is a directory of checksummed artifacts keyed by the
 //! [`canonical hash`](anonrv_graph::fingerprint) of the graph they were
 //! derived from (plus, where relevant, the *program key* of the recording).
-//! Three artifact families cover everything a planned sweep computes:
+//! Three artifact families cover everything a planned sweep computes (a
+//! closed-form symmetry group is cheaper to re-verify than to probe, so it
+//! is recomputed every session and never stored):
 //!
 //! | artifact | key | skips on a warm hit |
 //! |---|---|---|
-//! | automorphism group / pair orbits | graph | planning (group search) |
+//! | explicit automorphism group | graph | planning (BFS group search) |
 //! | trajectory timelines | graph + program key | every program execution |
 //! | plan outcome tables | graph + program key + δ-grid | the whole sweep |
 //!
@@ -69,7 +71,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use anonrv_graph::{NodeId, PortGraph, SymmetryHint};
+use anonrv_graph::{NodeId, PortGraph};
 use anonrv_obs as obs;
 use anonrv_plan::{Automorphisms, PairOrbits, SweepPlan, SymmetryGroup};
 use anonrv_sim::{
@@ -91,14 +93,15 @@ fn transient_suffix() -> String {
     format!("{}-{}", std::process::id(), TRANSIENT_COUNTER.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Where a value came from: loaded warm from the store, or computed cold
-/// (and then saved back).
+/// Where a value came from: loaded warm from the store, or computed cold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// Served from a valid cache artifact; the computation was skipped.
     Warm,
-    /// Recomputed (no artifact, or an artifact that failed an integrity or
-    /// identity gate) and written back to the store.
+    /// Computed in this process.  A closed-form symmetry group is always
+    /// cold: it is re-verified every session and never written.  Anything
+    /// else was recomputed (no artifact, or an artifact that failed an
+    /// integrity or identity gate) and written back to the store.
     Cold,
 }
 
@@ -386,48 +389,13 @@ impl Store {
         self.root.join(format!("orbits-{:032x}.anrv", g.canonical_hash()))
     }
 
-    fn group_path(&self, g: &PortGraph) -> PathBuf {
-        self.root.join(format!("group-{:032x}.anrv", g.canonical_hash()))
-    }
-
-    /// Load the pair-orbit partition of `g`, or `None` on any miss
-    /// (absent / corrupt / stale / foreign file).  An implicit
-    /// `group-` descriptor frame is preferred (O(1) bytes, streamable
-    /// partition); an explicit `orbits-` permutation frame is the fallback.
-    /// Either way the loaded group is fully re-verified against `g` before
-    /// it is trusted: descriptors through the generator checks of
-    /// [`SymmetryGroup::from_hint`], permutations through
-    /// [`Automorphisms::from_permutations`].
+    /// Load the explicit pair-orbit partition of `g` from its `orbits-`
+    /// permutation frame, or `None` on any miss (absent / corrupt / stale /
+    /// foreign file).  The permutations are fully re-verified against `g`
+    /// through [`Automorphisms::from_permutations`] before they are
+    /// trusted.  Closed-form groups are never stored, so a stamped graph
+    /// only hits here if an older cache wrote its BFS table.
     pub fn load_orbits(&self, g: &PortGraph) -> Option<PairOrbits> {
-        self.load_implicit_orbits(g).or_else(|| self.load_explicit_orbits(g))
-    }
-
-    /// The implicit branch of [`Store::load_orbits`]: a closed-form group
-    /// descriptor, a few dozen bytes regardless of `n`.
-    fn load_implicit_orbits(&self, g: &PortGraph) -> Option<PairOrbits> {
-        let path = self.group_path(g);
-        let bytes = self.read_artifact(&path)?;
-        let mut d = self.gate_frame(&path, Kind::ImplicitOrbits, &bytes)?;
-        if d.u128()? != g.canonical_hash() {
-            return None;
-        }
-        if d.usize()? != g.num_nodes() {
-            return None;
-        }
-        let hint = decode_symmetry_hint(&mut d)?;
-        if !d.exhausted() {
-            return None;
-        }
-        // re-verify the descriptor against the graph, generator by
-        // generator — a forged or misfiled descriptor degrades to a miss
-        let group = SymmetryGroup::from_hint(g, hint)?;
-        Some(PairOrbits::from_group(group))
-    }
-
-    /// The explicit branch of [`Store::load_orbits`]: verified permutation
-    /// tables (the only representation for graphs without a closed-form
-    /// group, and the format every pre-v5 cache holds).
-    fn load_explicit_orbits(&self, g: &PortGraph) -> Option<PairOrbits> {
         let path = self.orbits_path(g);
         let bytes = self.read_artifact(&path)?;
         let mut d = self.gate_frame(&path, Kind::Orbits, &bytes)?;
@@ -439,6 +407,11 @@ impl Store {
             return None;
         }
         let k = d.usize()?;
+        // a forged count must not drive the allocation: each permutation
+        // occupies `8 n` payload bytes (`n` is the live graph's, so nonzero)
+        if k > d.remaining() / (8 * n) {
+            return None;
+        }
         let mut perms = Vec::with_capacity(k);
         for _ in 0..k {
             let mut p = Vec::with_capacity(n);
@@ -454,28 +427,15 @@ impl Store {
         Some(PairOrbits::from_automorphisms(autos))
     }
 
-    /// Persist the pair-orbit partition of `g`.  An implicit partition
-    /// writes its closed-form descriptor into a `group-` frame (O(1) bytes
-    /// — this is what lets a million-node torus persist its group at all);
-    /// an explicit partition writes its automorphism permutations into an
-    /// `orbits-` frame.  The partition itself is a deterministic function
-    /// of the group, rebuilt on load.  Returns the artifact path.
-    pub fn save_orbits(&self, g: &PortGraph, orbits: &PairOrbits) -> io::Result<PathBuf> {
-        let Some(autos) = orbits.automorphisms() else {
-            let hint =
-                orbits.group().descriptor().expect("an implicit group always has a descriptor");
-            let mut e = Enc::new();
-            e.u128(g.canonical_hash());
-            e.usize(g.num_nodes());
-            encode_symmetry_hint(&mut e, hint);
-            let path = self.group_path(g);
-            self.write_atomic(&path, &e.into_frame(Kind::ImplicitOrbits))?;
-            return Ok(path);
-        };
+    /// Persist an explicit automorphism group of `g` as an `orbits-`
+    /// permutation frame.  Only explicit groups persist: a closed-form
+    /// group costs less to re-verify than to probe, so [`Store::orbits`]
+    /// recomputes it every time.  Returns the artifact path.
+    pub fn save_orbits(&self, g: &PortGraph, autos: &Automorphisms) -> io::Result<PathBuf> {
         let mut e = Enc::new();
         e.u128(g.canonical_hash());
         e.usize(g.num_nodes());
-        e.usize(orbits.group_order());
+        e.usize(autos.order());
         for p in autos.permutations() {
             for &img in p {
                 e.u64(img as u64);
@@ -486,16 +446,21 @@ impl Store {
         Ok(path)
     }
 
-    /// The pair-orbit partition of `g`: warm from the store when a valid
-    /// artifact exists, otherwise computed and saved back.
+    /// The pair-orbit partition of `g`.  A verified closed-form group is
+    /// computed with no I/O and reported [`Provenance::Cold`]; otherwise
+    /// the explicit group is served warm from its `orbits-` frame, or
+    /// computed by BFS and saved back.
     pub fn orbits(&self, g: &PortGraph) -> (PairOrbits, Provenance) {
+        if let Some(group) = SymmetryGroup::closed_form(g) {
+            return (PairOrbits::from_group(group), Provenance::Cold);
+        }
         if let Some(orbits) = self.load_orbits(g) {
             return (orbits, Provenance::Warm);
         }
-        let orbits = PairOrbits::compute(g);
+        let autos = Automorphisms::compute(g);
         // a failed save leaves the cache cold but the result correct
-        let _ = self.save_orbits(g, &orbits);
-        (orbits, Provenance::Cold)
+        let _ = self.save_orbits(g, &autos);
+        (PairOrbits::from_automorphisms(autos), Provenance::Cold)
     }
 
     // -- timelines ---------------------------------------------------------
@@ -535,6 +500,11 @@ impl Store {
         let count = d.usize()?;
         let num_horizons = d.usize()?;
         let summary = d.u128_vec(num_horizons)?;
+        // a forged count must not drive the allocation: each entry leads
+        // with an 8-byte start node
+        if count > d.remaining() / 8 {
+            return None;
+        }
         let mut seen = vec![false; n];
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
@@ -923,7 +893,7 @@ impl Store {
                 continue;
             };
             match kind {
-                Kind::Orbits | Kind::ImplicitOrbits => stats.orbits.add(bytes),
+                Kind::Orbits => stats.orbits.add(bytes),
                 Kind::Timelines => {
                     stats.timelines.add(bytes);
                     if let Some((count, horizons)) = peek_timeline_horizons(&mut d) {
@@ -1003,10 +973,9 @@ impl Store {
             // names.  Anything else — an operator's notes, another tool's
             // staging files — is foreign and left alone, exactly like
             // unrecognised `.anrv`-less files below.
-            let own_prefix =
-                ["orbits-", "group-", "timelines-", "outcomes-", "shard-", "symbolic-"]
-                    .iter()
-                    .any(|p| name.starts_with(p));
+            let own_prefix = ["orbits-", "timelines-", "outcomes-", "shard-", "symbolic-"]
+                .iter()
+                .any(|p| name.starts_with(p));
             if own_prefix && (name.ends_with(".lock") || name.contains(".tmp")) {
                 let old_enough = entry
                     .metadata()
@@ -1038,8 +1007,7 @@ impl Store {
                     Some((identity, horizon)) => shards.push((path, bytes, identity, horizon)),
                     None => report.remove(&path, bytes, GcClass::Corrupt),
                 },
-                Kind::Orbits | Kind::ImplicitOrbits | Kind::Timelines | Kind::SymbolicTimelines => {
-                }
+                Kind::Orbits | Kind::Timelines | Kind::SymbolicTimelines => {}
             }
         }
         // a shard partial is superseded once a merged table of the same
@@ -1301,25 +1269,6 @@ fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
                 }
             }
         }
-        Kind::ImplicitOrbits => {
-            d.u128().ok_or_else(truncated)?;
-            let n = d.usize().ok_or_else(truncated)?;
-            // identity-free shape checks: the family's parameters must
-            // describe exactly n nodes (graph verification happens on load)
-            match decode_symmetry_hint(d).ok_or_else(|| "group-descriptor-malformed".to_string())? {
-                SymmetryHint::Cyclic => {}
-                SymmetryHint::Torus { rows, cols } => {
-                    if rows.checked_mul(cols) != Some(n) {
-                        return Err("group-torus-shape-mismatch".into());
-                    }
-                }
-                SymmetryHint::Hypercube { dim } => {
-                    if dim >= usize::BITS || 1usize << dim != n {
-                        return Err("group-hypercube-shape-mismatch".into());
-                    }
-                }
-            }
-        }
         Kind::Timelines => {
             d.u128().ok_or_else(truncated)?;
             let n = d.usize().ok_or_else(truncated)?;
@@ -1427,39 +1376,6 @@ fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Implicit-group family tags inside `group-` descriptor payloads.
-const GROUP_TAG_CYCLIC: u8 = 1;
-const GROUP_TAG_TORUS: u8 = 2;
-const GROUP_TAG_HYPERCUBE: u8 = 3;
-
-/// Encode a closed-form group descriptor: one family tag byte plus the
-/// family's shape parameters.  `n` itself is framed by the caller.
-fn encode_symmetry_hint(e: &mut Enc, hint: SymmetryHint) {
-    match hint {
-        SymmetryHint::Cyclic => e.u8(GROUP_TAG_CYCLIC),
-        SymmetryHint::Torus { rows, cols } => {
-            e.u8(GROUP_TAG_TORUS);
-            e.usize(rows);
-            e.usize(cols);
-        }
-        SymmetryHint::Hypercube { dim } => {
-            e.u8(GROUP_TAG_HYPERCUBE);
-            e.u64(u64::from(dim));
-        }
-    }
-}
-
-/// Decode a closed-form group descriptor; `None` on an unknown tag or a
-/// truncated payload.
-fn decode_symmetry_hint(d: &mut Dec<'_>) -> Option<SymmetryHint> {
-    match d.u8()? {
-        GROUP_TAG_CYCLIC => Some(SymmetryHint::Cyclic),
-        GROUP_TAG_TORUS => Some(SymmetryHint::Torus { rows: d.usize()?, cols: d.usize()? }),
-        GROUP_TAG_HYPERCUBE => Some(SymmetryHint::Hypercube { dim: u32::try_from(d.u64()?).ok()? }),
-        _ => None,
-    }
-}
-
 /// The artifact kind a store filename claims to be.
 fn kind_of_filename(name: &str) -> Option<Kind> {
     if !name.ends_with(".anrv") {
@@ -1467,8 +1383,6 @@ fn kind_of_filename(name: &str) -> Option<Kind> {
     }
     if name.starts_with("orbits-") {
         Some(Kind::Orbits)
-    } else if name.starts_with("group-") {
-        Some(Kind::ImplicitOrbits)
     } else if name.starts_with("timelines-") {
         Some(Kind::Timelines)
     } else if name.starts_with("outcomes-") {
@@ -1884,7 +1798,7 @@ impl TableFingerprinter {
 mod tests {
     use super::*;
     use crate::testutil::{TempDir, Walker};
-    use anonrv_graph::generators::{oriented_ring, oriented_torus};
+    use anonrv_graph::generators::{oriented_ring, oriented_torus, symmetric_double_tree};
     use anonrv_plan::PlannedSweep;
     use anonrv_sim::{EngineConfig, Stic};
 
@@ -1892,13 +1806,20 @@ mod tests {
         Store::open(&dir.0).unwrap()
     }
 
+    /// An unstamped graph with a nontrivial group (|Aut| = 2): its explicit
+    /// BFS table is what the `orbits-` kind persists.
+    fn double_tree() -> PortGraph {
+        symmetric_double_tree(2, 2).unwrap().0
+    }
+
     #[test]
     fn orbits_round_trip_warm_after_cold() {
         let dir = TempDir::new("orbits");
         let store = store_in(&dir);
-        let g = oriented_torus(3, 4).unwrap();
+        let g = double_tree();
         let (cold, prov) = store.orbits(&g);
         assert_eq!(prov, Provenance::Cold);
+        assert_eq!(cold.group_order(), 2);
         let (warm, prov) = store.orbits(&g);
         assert_eq!(prov, Provenance::Warm);
         assert_eq!(warm, cold);
@@ -1911,8 +1832,8 @@ mod tests {
     fn corrupted_truncated_or_stale_orbit_files_fall_back_to_recompute() {
         let dir = TempDir::new("orbit-corruption");
         let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        let path = store.save_orbits(&g, &PairOrbits::compute(&g)).unwrap();
+        let g = double_tree();
+        let path = store.save_orbits(&g, &Automorphisms::compute(&g)).unwrap();
         let good = fs::read(&path).unwrap();
         assert!(store.load_orbits(&g).is_some());
 
@@ -1944,78 +1865,50 @@ mod tests {
     fn forged_but_well_framed_permutations_are_rejected_by_validation() {
         let dir = TempDir::new("orbit-forgery");
         let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        // hand-craft a frame whose payload passes every codec gate but whose
-        // permutations are not automorphisms of g
-        let mut e = Enc::new();
-        e.u128(g.canonical_hash());
-        e.usize(g.num_nodes());
-        e.usize(2);
-        for v in 0..g.num_nodes() {
-            e.u64(v as u64); // identity
-        }
-        for v in 0..g.num_nodes() {
-            e.u64(((v + 1) % g.num_nodes()) as u64); // index shift: not an automorphism
-        }
+        let g = double_tree();
+        let n = g.num_nodes();
         let path = dir.0.join(format!("orbits-{:032x}.anrv", g.canonical_hash()));
-        fs::write(&path, e.into_frame(Kind::Orbits)).unwrap();
-        assert!(store.load_orbits(&g).is_none());
+        // hand-craft frames whose payload passes every codec gate: one whose
+        // permutations are not automorphisms of g, one whose permutation
+        // count overruns the payload
+        let forge = |k: usize, perms: &[Vec<u64>]| {
+            let mut e = Enc::new();
+            e.u128(g.canonical_hash());
+            e.usize(n);
+            e.usize(k);
+            for p in perms {
+                for &img in p {
+                    e.u64(img);
+                }
+            }
+            e.into_frame(Kind::Orbits)
+        };
+        let identity: Vec<u64> = (0..n as u64).collect();
+        let shift: Vec<u64> = (0..n as u64).map(|v| (v + 1) % n as u64).collect();
+        for frame in [forge(2, &[identity.clone(), shift]), forge(1 << 60, &[identity])] {
+            fs::write(&path, frame).unwrap();
+            assert!(store.load_orbits(&g).is_none());
+            let (recovered, prov) = store.orbits(&g);
+            assert_eq!(prov, Provenance::Cold);
+            assert_eq!(recovered, PairOrbits::compute(&g));
+        }
     }
 
     #[test]
-    fn implicit_orbits_persist_as_a_constant_size_descriptor() {
-        let dir = TempDir::new("implicit-orbits");
+    fn forged_timeline_counts_degrade_to_a_miss() {
+        let dir = TempDir::new("timeline-forgery");
         let store = store_in(&dir);
-        let g = oriented_torus(4, 5).unwrap();
-        let orbits = PairOrbits::compute(&g);
-        assert!(orbits.is_implicit());
-        let path = store.save_orbits(&g, &orbits).unwrap();
-        // the descriptor frame, not a permutation table: a fixed few dozen
-        // bytes where 20 permutations × 20 nodes × 8 bytes would be 3.2 KB
-        assert!(path.file_name().unwrap().to_string_lossy().starts_with("group-"));
-        assert!(fs::read(&path).unwrap().len() < 128, "descriptor should be O(1) bytes");
-        let warm = store.load_orbits(&g).expect("descriptor loads");
-        assert!(warm.is_implicit());
-        assert_eq!(warm, orbits);
-    }
-
-    #[test]
-    fn forged_group_descriptors_are_rejected_by_generator_verification() {
-        let dir = TempDir::new("group-forgery");
-        let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        // well-framed, matching hash and n — but the claimed family is
-        // cyclic, whose generator (+1 rotation) is not an automorphism of
-        // the torus port labelling, so load-time verification must refuse
+        let g = oriented_ring(5).unwrap();
+        // a well-framed payload claiming 2^60 entries it does not carry
         let mut e = Enc::new();
         e.u128(g.canonical_hash());
         e.usize(g.num_nodes());
-        e.u8(GROUP_TAG_CYCLIC);
-        let path = dir.0.join(format!("group-{:032x}.anrv", g.canonical_hash()));
-        fs::write(&path, e.into_frame(Kind::ImplicitOrbits)).unwrap();
-        assert!(store.load_implicit_orbits(&g).is_none());
-        // the full load path falls back to recompute, not to wrong data
-        let (recovered, prov) = store.orbits(&g);
-        assert_eq!(prov, Provenance::Cold);
-        assert_eq!(recovered, PairOrbits::compute(&g));
-    }
-
-    #[test]
-    fn legacy_explicit_orbit_frames_still_serve_stamped_graphs() {
-        let dir = TempDir::new("legacy-orbits");
-        let store = store_in(&dir);
-        let g = oriented_ring(9).unwrap();
-        // a pre-v5 cache holds only the explicit permutation frame
-        let explicit = PairOrbits::compute_explicit(&g);
-        let path = store.save_orbits(&g, &explicit).unwrap();
-        assert!(path.file_name().unwrap().to_string_lossy().starts_with("orbits-"));
-        let warm = store.load_orbits(&g).expect("explicit frame loads");
-        assert!(!warm.is_implicit());
-        assert_eq!(warm, explicit);
-        // once an implicit descriptor lands next to it, the descriptor wins
-        let implicit = PairOrbits::compute(&g);
-        store.save_orbits(&g, &implicit).unwrap();
-        assert!(store.load_orbits(&g).expect("descriptor loads").is_implicit());
+        e.str("forged");
+        e.usize(1 << 60);
+        e.usize(0);
+        e.u128_slice(&[]);
+        fs::write(store.timelines_path(&g, "forged"), e.into_frame(Kind::Timelines)).unwrap();
+        assert!(store.load_timelines(&g, "forged").is_none());
     }
 
     #[test]
@@ -2242,8 +2135,11 @@ mod tests {
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
 
-        // populate: orbits, timelines, two shard partials, the merged table
-        store.save_orbits(&g, planned.orbits()).unwrap();
+        // populate: an explicit group's orbits (the torus's closed-form
+        // group is never stored), timelines, two shard partials, the
+        // merged table
+        let tree = double_tree();
+        store.save_orbits(&tree, &Automorphisms::compute(&tree)).unwrap();
         for index in 0..2 {
             let spec = crate::ShardSpec::new(2, index).unwrap();
             let classes = spec.classes(plan.orbits().num_pair_classes());
@@ -2263,6 +2159,8 @@ mod tests {
         fs::write(dir.0.join("outcomes-beef.anrv.lock"), b"").unwrap();
         fs::write(dir.0.join("notes.tmp"), b"operator notes").unwrap();
         fs::write(dir.0.join("rsync-staging.lock"), b"").unwrap();
+        // a leftover v5 closed-form group descriptor is foreign too
+        fs::write(dir.0.join("group-feed.anrv"), b"retired kind").unwrap();
 
         let stats = store.stats().unwrap();
         assert_eq!(stats.orbits.files, 1);
@@ -2270,7 +2168,7 @@ mod tests {
         assert_eq!(stats.outcomes.files, 1);
         assert_eq!(stats.shards.files, 2);
         assert_eq!(stats.invalid.files, 1);
-        assert_eq!(stats.other.files, 4, "temp + lock + foreign files are surveyed as other");
+        assert_eq!(stats.other.files, 5, "temp + lock + foreign files are surveyed as other");
         assert_eq!(stats.timeline_entries, planned.engine().cache().computed());
         assert_eq!(stats.recorded_horizons, vec![64]);
         assert!(stats.total_bytes() > 0);
@@ -2287,12 +2185,13 @@ mod tests {
         let after = store.stats().unwrap();
         assert_eq!(after.shards.files, 0);
         assert_eq!(after.invalid.files, 0);
-        assert_eq!(after.other.files, 2, "foreign temp/lock-like files must survive gc");
+        assert_eq!(after.other.files, 3, "foreign files must survive gc");
+        assert!(dir.0.join("group-feed.anrv").exists());
         assert!(dir.0.join("notes.tmp").exists());
         assert!(dir.0.join("rsync-staging.lock").exists());
         assert_eq!(after.orbits.files + after.timelines.files + after.outcomes.files, 3);
         // the surviving artifacts still serve
-        assert!(store.load_orbits(&g).is_some());
+        assert!(store.load_orbits(&tree).is_some());
         assert_eq!(store.load_plan_outcomes(&g, key, &plan), Some((merged, 64)));
         // a second pass finds nothing to do
         assert_eq!(store.gc_with_min_age(std::time::Duration::ZERO).unwrap().removed_files, 0);
@@ -2329,8 +2228,8 @@ mod tests {
     fn corruption_quarantines_with_a_reason_while_version_stale_stays_put() {
         let dir = TempDir::new("quarantine");
         let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        let path = store.save_orbits(&g, &PairOrbits::compute(&g)).unwrap();
+        let g = double_tree();
+        let path = store.save_orbits(&g, &Automorphisms::compute(&g)).unwrap();
         let good = fs::read(&path).unwrap();
 
         // corruption: the load degrades to a miss and the frame moves aside
@@ -2428,7 +2327,7 @@ mod tests {
         let key = "test-walker-5eed";
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(32));
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 32);
-        let orbits_path = store.save_orbits(&g, planned.orbits()).unwrap();
+        let orbits_path = store.save_orbits(&g, &Automorphisms::compute(&g)).unwrap();
         let outcomes = planned.run(&plan);
         store.persist_engine(planned.engine(), key).unwrap();
         let outcomes_path = store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();

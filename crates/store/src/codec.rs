@@ -54,20 +54,16 @@ pub(crate) const MAGIC: [u8; 8] = *b"ANRVSTOR";
 /// (prefix and cycle columns).  No existing payload layout changed, so
 /// readers accept [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]: v3
 /// explicit frames keep loading verbatim.
-/// Version 5: implicit symmetry groups — a new [`Kind::ImplicitOrbits`]
-/// frame stores a *closed-form group descriptor* (family tag plus shape
-/// parameters, a few dozen bytes) instead of `k·n` permutation words, so a
-/// million-node torus persists its full automorphism group in O(1) space.
-/// Loaders re-verify the descriptor against the graph on load (the
-/// generators are re-checked port by port), exactly as explicit
-/// permutation frames are re-verified.  Again no existing payload layout
-/// changed: v3/v4 `orbits-` frames keep loading verbatim and remain the
-/// fallback representation for graphs without a closed-form group.
+/// Version 5: added a closed-form group descriptor kind (tag 6), since
+/// retired: re-verifying a closed-form group costs less than probing for
+/// it, so the store recomputes it every session.  A leftover v5 `group-`
+/// file is a foreign file to the store.  No payload layout changed: v3/v4
+/// `orbits-` frames keep loading verbatim.
 pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Oldest format version readers still accept.  Versions 3 through 5 share
-/// every payload layout (v4 and v5 only *add* artifact kinds), so a
-/// v3 frame is served as-is rather than treated as stale.
+/// every payload layout of the live kinds (v4 and v5 only *added* kinds),
+/// so a v3 frame is served as-is rather than treated as stale.
 pub(crate) const MIN_FORMAT_VERSION: u32 = 3;
 
 /// Frame header size: magic(8) + version(4) + kind(1) + reserved(11) +
@@ -79,10 +75,12 @@ pub(crate) const HEADER: usize = 32;
 /// `u128`).
 pub(crate) const ALIGN: usize = 16;
 
-/// Artifact kind tags (one per payload layout).
+/// Artifact kind tags (one per payload layout).  Tag 6 (the v5 closed-form
+/// group descriptor) is retired and must never be reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
-    /// Automorphism permutations (a [`anonrv_plan::PairOrbits`] seed).
+    /// Automorphism permutations of an explicit group (a
+    /// [`anonrv_plan::PairOrbits`] seed).
     Orbits = 1,
     /// Recorded trajectory timelines of one `(graph, program, horizon)`.
     Timelines = 2,
@@ -94,10 +92,6 @@ pub(crate) enum Kind {
     /// horizon-free: one detection serves *every* horizon, so these
     /// supersede explicit timeline recordings under the longest-wins rule.
     SymbolicTimelines = 5,
-    /// An implicit symmetry-group descriptor (closed-form family + shape
-    /// parameters) — the O(1)-space alternative to [`Kind::Orbits`] for
-    /// graphs whose full automorphism group has a closed form.
-    ImplicitOrbits = 6,
 }
 
 /// 64-bit FNV-1a over a byte slice (the frame checksum and the filename

@@ -17,7 +17,8 @@
 //! * [`Store`] — a content-addressed on-disk cache (directory of
 //!   checksummed, versioned artifacts keyed by
 //!   [`PortGraph::canonical_hash`](anonrv_graph::PortGraph::canonical_hash))
-//!   holding serialized automorphism groups / [`PairOrbits`], recorded
+//!   holding explicit (BFS-enumerated) automorphism groups seeding
+//!   [`PairOrbits`] (closed-form groups are recomputed, never stored), recorded
 //!   wait-compressed [`Timeline`](anonrv_sim::Timeline)s, detected
 //!   [`SymbolicTimeline`](anonrv_sim::SymbolicTimeline)s (the
 //!   `symbolic-*` v4 kind: per start node a prefix and a cycle in the

@@ -7,7 +7,8 @@
 //! what they reported.  A [`SweepSession`] owns the whole flow once:
 //!
 //! ```text
-//!   plan        orbits: store probe (verified load) or compute, save back
+//!   plan        orbits: closed-form groups computed (no I/O); explicit
+//!               groups store-probed (verified load) or computed, saved back
 //!   cache-probe outcome table: exact hit / prefix hit / extend hit / miss;
 //!               trajectory timelines: preload (served as-is; the merge
 //!               kernels clip at each query's horizon) on first use
@@ -113,7 +114,8 @@ impl std::fmt::Display for OutcomeProvenance {
 /// single source the CLI and the experiment compression notes report from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Whether the pair-orbit partition was loaded or computed.
+    /// Whether the pair-orbit partition was loaded or computed.  Always
+    /// [`Provenance::Cold`] for a closed-form group, which is never stored.
     pub orbits: Provenance,
     /// Trajectory timelines preloaded from the store.
     pub timeline_hits: usize,
@@ -179,8 +181,10 @@ pub struct SweepSession<'a> {
 }
 
 impl<'a> SweepSession<'a> {
-    /// Open a session: probe (or compute and save back) the pair-orbit
-    /// partition and set up the planned executor.  Trajectory timelines are
+    /// Open a session: acquire the pair-orbit partition through
+    /// [`Store::orbits`] (a closed-form group is computed; an explicit one
+    /// is probed, or computed and saved back) and set up the planned
+    /// executor.  Trajectory timelines are
     /// preloaded lazily, on the first call that actually executes — a
     /// session that ends up fully served by a warm outcome table never
     /// touches them.
@@ -840,7 +844,8 @@ mod tests {
         assert_eq!(prov, OutcomeProvenance::WarmExact);
         assert_eq!(warm_outcomes.table(), cold_outcomes.table());
         let warm_stats = warm.stats();
-        assert_eq!(warm_stats.orbits, Provenance::Warm);
+        // the torus's closed-form group is recomputed, never stored
+        assert_eq!(warm_stats.orbits, Provenance::Cold);
         assert_eq!((warm_stats.executed, warm_stats.timeline_misses), (0, 0));
 
         // prefix hit at a smaller horizon: zero recordings, every timeline

@@ -172,6 +172,10 @@ impl Store {
         }
         let num_classes = plan.orbits().num_pair_classes();
         let count = d.usize()?;
+        // a forged count must not drive the allocation below
+        if count > d.remaining() / 8 {
+            return None;
+        }
         let mut classes = Vec::with_capacity(count);
         for _ in 0..count {
             let c = d.usize()?;
@@ -380,6 +384,16 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
+        assert!(store.load_shard(&g, key, &plan, spec).is_none());
+        // a well-framed partial claiming 2^60 classes it does not carry is
+        // a miss, never an allocation of that size
+        let mut e = Enc::new();
+        encode_plan_identity(&mut e, &g, key, &plan);
+        e.u128(plan.horizon());
+        e.usize(spec.shards());
+        e.usize(spec.index());
+        e.usize(1 << 60);
+        std::fs::write(&path, e.into_frame(Kind::Shard)).unwrap();
         assert!(store.load_shard(&g, key, &plan, spec).is_none());
     }
 }

@@ -55,19 +55,26 @@ fn warm_and_cold_planned_sweeps_are_bit_identical_end_to_end() {
     let (cold_outcomes, provenance) = cold.run_plan(&plan).unwrap();
     assert_eq!(provenance, OutcomeProvenance::Cold);
     assert!(cold.stats().timeline_misses > 0);
+    // the closed-form torus group is recomputed per session, never stored
+    let orbit_files: Vec<_> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("orbits-") || name.starts_with("group-"))
+        .collect();
+    assert!(orbit_files.is_empty(), "stamped graph persisted {orbit_files:?}");
 
     // warm at the same horizon: the whole sweep is skipped ...
     let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
-    assert_eq!(warm.stats().orbits, Provenance::Warm);
+    assert_eq!(warm.stats().orbits, Provenance::Cold);
     let (warm_outcomes, provenance) = warm.run_plan(&plan).unwrap();
     assert_eq!(provenance, OutcomeProvenance::WarmExact);
     assert_eq!(warm.stats().timeline_misses, 0, "warm run must not re-record");
     assert_eq!(warm_outcomes.table(), cold_outcomes.table(), "warm/cold differential");
 
-    // warm timelines only: the stored orbits and every start node's
-    // timeline preload, and the merges re-run to the cold table
+    // warm timelines only: the recomputed orbits and every start node's
+    // stored timeline, and the merges re-run to the cold table
     let (orbits, orbit_provenance) = store.orbits(&g);
-    assert_eq!(orbit_provenance, Provenance::Warm);
+    assert_eq!(orbit_provenance, Provenance::Cold);
     let planned = PlannedSweep::from_orbits(orbits, &g, &program, EngineConfig::batch(HORIZON));
     let warmed = store.warm_engine(planned.engine(), KEY);
     assert_eq!(warmed.installed, g.num_nodes(), "every timeline must preload");

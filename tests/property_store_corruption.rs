@@ -93,7 +93,8 @@ proptest! {
         let g = oriented_ring(6).unwrap();
         let program = SweepWalker { seed: 0x5EED };
 
-        // populate: orbits, timelines and an outcome table
+        // populate: timelines and an outcome table (the ring's closed-form
+        // group is recomputed, never stored)
         let mut seed_session =
             SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
         let plan = SweepPlan::from_orbits(seed_session.orbits().clone(), vec![0, 1], 16);
@@ -203,9 +204,9 @@ proptest! {
 }
 
 /// Version-compat pin: v5 readers accept v3 frames verbatim (the payload
-/// layout is unchanged — v4 added the symbolic kind, v5 the implicit-group
-/// descriptor kind; both only *add*), while versions outside `3..=5` stay
-/// plain misses that degrade to recompute.
+/// layout is unchanged — v4 added the symbolic kind, v5 a group-descriptor
+/// kind since retired; neither changed a layout), while versions outside
+/// `3..=5` stay plain misses that degrade to recompute.
 #[test]
 fn version_3_explicit_frames_still_load_and_out_of_range_versions_miss() {
     let dir = TempDir::new("v3compat");
