@@ -1105,6 +1105,15 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_whose_table_cannot_be_allocated_fails_with_its_size() {
+        // 111 974 nodes and |Aut| = 2: about 6.3e9 pair classes, a table of
+        // some 700 GB, refused up front instead of aborting the process
+        let err = run(&argv(&["sweep", "double-tree:6x6", "--deltas", "1", "--horizon", "16"]))
+            .unwrap_err();
+        assert!(err.contains("cannot allocate the outcome table: 6269088338 entries"), "{err}");
+    }
+
+    #[test]
     fn shrink_command_reports_the_double_tree_example() {
         let out = run(&argv(&["shrink", "double-tree:2x2", "0", "7"])).unwrap();
         assert!(out.contains("Shrink(u, v)"), "{out}");

@@ -24,6 +24,12 @@ use anonrv_sim::{
 
 use crate::orbits::PairOrbits;
 
+/// Classes per parallel batch of [`PlannedSweep::run`] and
+/// [`PlannedSweep::run_classes`]: bounds the per-class outcome blocks alive
+/// beside the table, while a sweep of up to 65 536 classes still runs as
+/// one batch (no barrier between batches).
+const RUN_BATCH_CLASSES: usize = 1 << 16;
+
 /// Pull a canonical-world outcome back into the world of the member pair
 /// whose earlier node is `u`: the meeting node is the **only**
 /// orbit-variant field of a [`SimOutcome`], and it maps through `π_u⁻¹`.
@@ -505,9 +511,17 @@ impl<'a> PlannedSweep<'a> {
     /// the broadcastable outcome table.  The plan must describe the same
     /// graph (same orbit partition) as this sweep.
     pub fn run<'p>(&self, plan: &'p SweepPlan) -> PlannedOutcomes<'p> {
-        let classes: Vec<usize> = (0..self.orbits.num_pair_classes()).collect();
-        let table = self.run_classes(plan, &classes);
+        let mut table = Vec::with_capacity(plan.num_representative_queries());
+        self.run_into(plan, &mut table);
         PlannedOutcomes { plan, table }
+    }
+
+    /// [`PlannedSweep::run`] into a caller-owned table: appends the plan's
+    /// class-major, δ-minor outcomes to `table`, so a caller can reserve
+    /// the whole table fallibly before any work starts.  The classes are
+    /// walked as a range, never collected into a list.
+    pub fn run_into(&self, plan: &SweepPlan, table: &mut Vec<SimOutcome>) {
+        self.fill_classes(plan, self.orbits.num_pair_classes(), |i| i, table);
     }
 
     /// Execute a *slice* of a plan: run the representative queries of the
@@ -521,6 +535,21 @@ impl<'a> PlannedSweep<'a> {
     /// STIC (the merge of two deterministic timelines) and never on which
     /// other classes ran alongside it.
     pub fn run_classes(&self, plan: &SweepPlan, classes: &[usize]) -> Vec<SimOutcome> {
+        let mut table = Vec::with_capacity(classes.len() * plan.deltas().len());
+        self.fill_classes(plan, classes.len(), |i| classes[i], &mut table);
+        table
+    }
+
+    /// Append the outcomes of the classes `class_at(0..count)` to `table`,
+    /// rayon over each batch of [`RUN_BATCH_CLASSES`] classes: only one
+    /// batch of per-class blocks is alive beside the table.
+    fn fill_classes(
+        &self,
+        plan: &SweepPlan,
+        count: usize,
+        class_at: impl Fn(usize) -> usize + Sync,
+        table: &mut Vec<SimOutcome>,
+    ) {
         assert_eq!(
             plan.orbits(),
             self.orbits(),
@@ -531,29 +560,34 @@ impl<'a> PlannedSweep<'a> {
             "plan horizon exceeds the engine horizon"
         );
         if anonrv_obs::enabled() {
-            anonrv_obs::counter_add(
-                "plan.representatives",
-                (classes.len() * plan.deltas().len()) as u64,
-            );
+            anonrv_obs::counter_add("plan.representatives", (count * plan.deltas().len()) as u64);
         }
-        let per_class: Vec<Vec<SimOutcome>> = classes
-            .par_iter()
-            .map(|&class| {
-                let (r, c) = self.orbits.representative(class);
-                // one delta-sweep pass per class resolves the whole δ-grid:
-                // the occupancy cursors and scratch buffers are shared
-                // across the class's delays (see `merge_timelines_deltas`)
-                let mut scratch = MergeScratch::new();
-                self.engine.simulate_deltas_capped_with(
-                    &mut scratch,
-                    r,
-                    c,
-                    plan.deltas(),
-                    plan.horizon(),
-                )
-            })
-            .collect();
-        per_class.into_iter().flatten().collect()
+        let mut base = 0;
+        while base < count {
+            let hi = count.min(base + RUN_BATCH_CLASSES);
+            let blocks: Vec<Vec<SimOutcome>> = (base..hi)
+                .into_par_iter()
+                .map(|i| {
+                    let (r, c) = self.orbits.representative(class_at(i));
+                    // one delta-sweep pass per class resolves the whole
+                    // δ-grid: the occupancy cursors and scratch buffers are
+                    // shared across the class's delays (see
+                    // `merge_timelines_deltas`)
+                    let mut scratch = MergeScratch::new();
+                    self.engine.simulate_deltas_capped_with(
+                        &mut scratch,
+                        r,
+                        c,
+                        plan.deltas(),
+                        plan.horizon(),
+                    )
+                })
+                .collect();
+            for block in blocks {
+                table.extend(block);
+            }
+            base = hi;
+        }
     }
 
     /// Execute a whole plan **without ever materialising the outcome

@@ -178,9 +178,10 @@ pub struct TimelineSeg {
 /// with a trailing sentinel carries both bounds); a terminated run is
 /// recognisable by its `INFINITY` sentinel; and because every segment after
 /// the first (tail excepted) is opened by exactly one edge traversal, move
-/// counts are `min(i, total_moves)`.  These six arrays are also the exact
-/// v3 on-disk payload ([`Timeline::from_parts`] rebuilds a timeline from
-/// them without re-running the counting sort).
+/// counts are `min(i, total_moves)`.  Only `starts` and `nodes` are
+/// primary: they are the whole on-disk payload ([`TimelineParts`]), and the
+/// occupancy index is rebuilt from them by one counting sort whenever a
+/// timeline is recorded, truncated or loaded ([`Timeline::from_parts`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     /// The local horizon the run was recorded (or reconstructed) at; queries
@@ -203,24 +204,72 @@ pub struct Timeline {
     occ_seg: Vec<u32>,
 }
 
-/// Owned flat arrays to rebuild a [`Timeline`] from without re-indexing —
-/// the exact decoded form of the v3 on-disk timeline payload (see
-/// [`Timeline::from_parts`]; the borrowed counterparts are the
-/// [`Timeline::starts`]-family accessors).
+/// The two primary columns of a [`Timeline`] — the whole on-disk timeline
+/// payload since format version 6.  [`Timeline::from_parts`] validates them
+/// and rebuilds the occupancy index; the borrowed counterparts are
+/// [`Timeline::starts`] and [`Timeline::seg_nodes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineParts {
     /// Segment starts plus the trailing sentinel (length `nsegs + 1`).
     pub starts: Vec<Round>,
     /// Per-segment nodes (length `nsegs`).
     pub nodes: Vec<u32>,
-    /// CSR offsets of the per-node occupancy index (length `n + 1`).
-    pub occ_starts: Vec<u32>,
-    /// Occupancy-interval starts, grouped by node (length `nsegs`).
-    pub occ_start: Vec<Round>,
-    /// Occupancy-interval ends (length `nsegs`).
-    pub occ_end: Vec<Round>,
-    /// Segment index realising each occupancy interval (length `nsegs`).
-    pub occ_seg: Vec<u32>,
+}
+
+impl TimelineParts {
+    /// Check the column invariants every block shares: one sentinel past
+    /// the segments, a first segment at local round 0, strictly increasing
+    /// starts (contiguous, non-empty segments) and nodes below `n`.
+    pub(crate) fn check_columns(&self, n: usize) -> Result<(), String> {
+        let nsegs = self.nodes.len();
+        if nsegs > u32::MAX as usize {
+            return Err("timeline exceeds the index width".into());
+        }
+        if self.starts.len() != nsegs + 1 {
+            return Err("the start array carries one sentinel past the segments".into());
+        }
+        if self.starts[0] != 0 {
+            return Err("the first segment must start at local round 0".into());
+        }
+        for i in 0..nsegs {
+            if self.starts[i] >= self.starts[i + 1] {
+                return Err(format!("segment {i}: empty or inverted interval"));
+            }
+            if (self.nodes[i] as usize) >= n {
+                return Err(format!("segment {i}: node {} out of range (n = {n})", self.nodes[i]));
+            }
+        }
+        Ok(())
+    }
+
+    /// Check every structural invariant [`Timeline::record`] guarantees of
+    /// a run recorded at local `horizon` on an `n`-node graph: the shared
+    /// column checks, at least one segment, the parked-forever tail
+    /// conventions and a finite end within the horizon.  Allocates nothing,
+    /// so a verifier can run it on a declared `n` it cannot trust.
+    pub fn validate(&self, n: usize, horizon: Round) -> Result<(), String> {
+        let nsegs = self.nodes.len();
+        if nsegs == 0 {
+            return Err("a timeline has at least its initial segment".into());
+        }
+        self.check_columns(n)?;
+        let terminated = self.starts[nsegs] == INFINITY;
+        if terminated {
+            if nsegs < 2 {
+                return Err("a terminated run records a finite segment before its tail".into());
+            }
+            if self.nodes[nsegs - 1] != self.nodes[nsegs - 2] {
+                return Err("the parked-forever tail must stay on the final node".into());
+            }
+        }
+        let finite_end = self.starts[nsegs - usize::from(terminated)];
+        if finite_end > horizon.saturating_add(1) {
+            return Err(format!(
+                "finite timeline end {finite_end} exceeds the recorded horizon {horizon}"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Timeline {
@@ -262,62 +311,23 @@ impl Timeline {
         Self::assemble(g.num_nodes(), horizon, starts, nodes)
     }
 
-    /// Rebuild a timeline from its serialisable segment list, validating
-    /// every structural invariant [`Timeline::record`] guarantees: the exact
-    /// inverse of [`Timeline::segments`], used by the persistent trajectory
-    /// cache to restore recorded runs from disk without re-executing the
-    /// program.
-    ///
-    /// `n` is the node count of the graph the run was recorded on (it sizes
-    /// the per-node occupancy index) and `horizon` the local horizon of the
-    /// recording.  Errors describe the first violated invariant; a cache
-    /// treats any error as a miss and falls back to re-recording.
+    /// Rebuild a timeline from its serialisable segment list — the exact
+    /// inverse of [`Timeline::segments`].  Contiguity is checked here, every
+    /// other invariant by [`Timeline::from_parts`]; errors describe the
+    /// first violated one.
     pub fn from_segments(n: usize, horizon: Round, segs: Vec<TimelineSeg>) -> Result<Self, String> {
-        if segs.is_empty() {
+        let Some(last) = segs.last() else {
             return Err("a timeline has at least its initial segment".into());
-        }
-        if segs.len() > u32::MAX as usize {
-            return Err("timeline exceeds the index width".into());
-        }
-        if segs[0].start != 0 {
-            return Err("the first segment must start at local round 0".into());
-        }
-        for (i, s) in segs.iter().enumerate() {
-            if s.node >= n {
-                return Err(format!("segment {i}: node {} out of range (n = {n})", s.node));
-            }
-            if s.start >= s.end {
-                return Err(format!("segment {i}: empty or inverted interval"));
-            }
-            if s.end == INFINITY && i + 1 != segs.len() {
-                return Err(format!("segment {i}: infinite tail not in final position"));
-            }
-            if i > 0 && segs[i - 1].end != s.start {
-                return Err(format!("segment {i}: not contiguous with its predecessor"));
-            }
-        }
-        let terminated = segs.last().expect("checked non-empty").end == INFINITY;
-        if terminated {
-            let len = segs.len();
-            if len < 2 {
-                return Err("a terminated run records a finite segment before its tail".into());
-            }
-            if segs[len - 1].node != segs[len - 2].node {
-                return Err("the parked-forever tail must stay on the final node".into());
-            }
-        }
-        let finite_count = segs.len() - usize::from(terminated);
-        let finite_end = segs[finite_count - 1].end;
-        if finite_end > horizon.saturating_add(1) {
-            return Err(format!(
-                "finite timeline end {finite_end} exceeds the recorded horizon {horizon}"
-            ));
+        };
+        if let Some(i) = (1..segs.len()).find(|&i| segs[i - 1].end != segs[i].start) {
+            return Err(format!("segment {i}: not contiguous with its predecessor"));
         }
         let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 1);
         starts.extend(segs.iter().map(|s| s.start));
-        starts.push(segs.last().expect("checked non-empty").end);
-        let nodes: Vec<u32> = segs.iter().map(|s| s.node as u32).collect();
-        Ok(Self::assemble(n, horizon, starts, nodes))
+        starts.push(last.end);
+        let nodes = segs.iter().map(|s| u32::try_from(s.node)).collect::<Result<Vec<_>, _>>();
+        let nodes = nodes.map_err(|_| "a segment node exceeds the index width".to_string())?;
+        Self::from_parts(n, horizon, TimelineParts { starts, nodes })
     }
 
     /// The serialisable segment list (the exact input
@@ -378,7 +388,7 @@ impl Timeline {
     }
 
     /// Build the per-node occupancy index from validated `starts`/`nodes`
-    /// arrays (shared by [`Timeline::record`], [`Timeline::from_segments`]
+    /// arrays (shared by [`Timeline::record`], [`Timeline::from_parts`]
     /// and [`Timeline::truncate`]).
     fn assemble(n: usize, recorded_horizon: Round, starts: Vec<Round>, nodes: Vec<u32>) -> Self {
         let nsegs = nodes.len();
@@ -393,115 +403,41 @@ impl Timeline {
         for i in 0..n {
             occ_starts[i + 1] += occ_starts[i];
         }
-        let mut cursor = occ_starts.clone();
         let mut occ_start = vec![0 as Round; nsegs];
         let mut occ_end = vec![0 as Round; nsegs];
         let mut occ_seg = vec![0u32; nsegs];
         for (i, &u) in nodes.iter().enumerate() {
-            let c = cursor[u as usize] as usize;
+            // each node's offset doubles as its group's fill cursor
+            let c = occ_starts[u as usize] as usize;
             occ_start[c] = starts[i];
             occ_end[c] = starts[i + 1];
             occ_seg[c] = i as u32;
-            cursor[u as usize] += 1;
+            occ_starts[u as usize] += 1;
         }
+        // every cursor now sits at the next group's offset: shift them back
+        occ_starts.copy_within(0..n, 1);
+        occ_starts[0] = 0;
 
         Timeline { recorded_horizon, starts, nodes, occ_starts, occ_start, occ_end, occ_seg }
     }
 
-    /// Rebuild a timeline from its flat v3 arrays **without re-indexing**:
-    /// the arrays are installed as-is after a cheap `O(n + nsegs)` structural
-    /// validation, so a warm load skips both the per-segment decode and the
-    /// counting sort [`Timeline::from_segments`] pays.  The occupancy index
-    /// is accepted only in the exact canonical form the counting sort
-    /// produces (per-node groups in segment order with matching interval
-    /// bounds), which makes the result bit-identical to
-    /// `from_segments(n, horizon, self.segments())`.
+    /// Rebuild a timeline from its two primary columns — the exact inverse
+    /// of [`Timeline::starts`]/[`Timeline::seg_nodes`], used by the
+    /// persistent store to restore recorded runs without re-executing the
+    /// program.  The columns pass [`TimelineParts::validate`], then the
+    /// occupancy index is rebuilt by the counting sort recording runs, so
+    /// the result is bit-identical to the original recording.
     ///
-    /// Errors describe the first violated invariant; a cache treats any
-    /// error as a miss and falls back to re-recording.  (Byte-level
-    /// corruption is the store frame checksum's job — this validation only
-    /// guards the structural invariants the merge kernels rely on.)
+    /// `n` is the node count of the graph the run was recorded on (it sizes
+    /// the per-node occupancy index) and `horizon` the local horizon of the
+    /// recording.  Errors describe the first violated invariant; a cache
+    /// treats any error as a miss and falls back to re-recording.
+    /// (Byte-level corruption is the store frame checksum's job — this
+    /// validation only guards the structural invariants the merge kernels
+    /// rely on.)
     pub fn from_parts(n: usize, horizon: Round, parts: TimelineParts) -> Result<Self, String> {
-        let TimelineParts { starts, nodes, occ_starts, occ_start, occ_end, occ_seg } = parts;
-        let nsegs = nodes.len();
-        if nsegs == 0 {
-            return Err("a timeline has at least its initial segment".into());
-        }
-        if nsegs > u32::MAX as usize {
-            return Err("timeline exceeds the index width".into());
-        }
-        if starts.len() != nsegs + 1 {
-            return Err("the start array carries one sentinel past the segments".into());
-        }
-        if starts[0] != 0 {
-            return Err("the first segment must start at local round 0".into());
-        }
-        for i in 0..nsegs {
-            if starts[i] >= starts[i + 1] {
-                return Err(format!("segment {i}: empty or inverted interval"));
-            }
-            if (nodes[i] as usize) >= n {
-                return Err(format!("segment {i}: node {} out of range (n = {n})", nodes[i]));
-            }
-        }
-        let terminated = starts[nsegs] == INFINITY;
-        if terminated {
-            if nsegs < 2 {
-                return Err("a terminated run records a finite segment before its tail".into());
-            }
-            if nodes[nsegs - 1] != nodes[nsegs - 2] {
-                return Err("the parked-forever tail must stay on the final node".into());
-            }
-        }
-        let finite_end = if terminated { starts[nsegs - 1] } else { starts[nsegs] };
-        if finite_end > horizon.saturating_add(1) {
-            return Err(format!(
-                "finite timeline end {finite_end} exceeds the recorded horizon {horizon}"
-            ));
-        }
-        // the occupancy index must be exactly the counting-sort CSR
-        // `assemble` builds: group sizes sum to nsegs and entries within a
-        // group are distinct segments of that node in increasing order, so
-        // together the groups cover every segment exactly once
-        if occ_starts.len() != n + 1 || occ_starts[0] != 0 || occ_starts[n] as usize != nsegs {
-            return Err("occupancy index shape does not match the segments".into());
-        }
-        if occ_start.len() != nsegs || occ_end.len() != nsegs || occ_seg.len() != nsegs {
-            return Err("occupancy arrays must have one entry per segment".into());
-        }
-        for u in 0..n {
-            let (s, e) = (occ_starts[u] as usize, occ_starts[u + 1] as usize);
-            if s > e || e > nsegs {
-                return Err("occupancy offsets must be nondecreasing".into());
-            }
-            let mut prev: Option<u32> = None;
-            for k in s..e {
-                let seg = occ_seg[k] as usize;
-                if seg >= nsegs || nodes[seg] as usize != u {
-                    return Err(format!(
-                        "occupancy entry {k}: segment {seg} is not a visit to node {u}"
-                    ));
-                }
-                if prev.is_some_and(|p| p >= occ_seg[k]) {
-                    return Err(format!("occupancy entries of node {u} must be in segment order"));
-                }
-                if occ_start[k] != starts[seg] || occ_end[k] != starts[seg + 1] {
-                    return Err(format!(
-                        "occupancy entry {k}: interval does not match segment {seg}"
-                    ));
-                }
-                prev = Some(occ_seg[k]);
-            }
-        }
-        Ok(Timeline {
-            recorded_horizon: horizon,
-            starts,
-            nodes,
-            occ_starts,
-            occ_start,
-            occ_end,
-            occ_seg,
-        })
+        parts.validate(n, horizon)?;
+        Ok(Self::assemble(n, horizon, parts.starts, parts.nodes))
     }
 
     /// Number of recorded segments (including the infinite tail, if any).
@@ -546,32 +482,32 @@ impl Timeline {
         (i as u64).min(self.total_moves())
     }
 
-    /// Segment starts plus the trailing sentinel (v3 payload array).
+    /// Segment starts plus the trailing sentinel (payload column).
     pub fn starts(&self) -> &[Round] {
         &self.starts
     }
 
-    /// Per-segment nodes (v3 payload array).
+    /// Per-segment nodes (payload column).
     pub fn seg_nodes(&self) -> &[u32] {
         &self.nodes
     }
 
-    /// CSR offsets of the per-node occupancy index (v3 payload array).
+    /// CSR offsets of the per-node occupancy index (rebuilt on load).
     pub fn occ_starts(&self) -> &[u32] {
         &self.occ_starts
     }
 
-    /// Occupancy-interval starts, grouped by node (v3 payload array).
+    /// Occupancy-interval starts, grouped by node (rebuilt on load).
     pub fn occ_interval_starts(&self) -> &[Round] {
         &self.occ_start
     }
 
-    /// Occupancy-interval ends, grouped by node (v3 payload array).
+    /// Occupancy-interval ends, grouped by node (rebuilt on load).
     pub fn occ_interval_ends(&self) -> &[Round] {
         &self.occ_end
     }
 
-    /// Segment index realising each occupancy interval (v3 payload array).
+    /// Segment index realising each occupancy interval (rebuilt on load).
     pub fn occ_segs(&self) -> &[u32] {
         &self.occ_seg
     }
@@ -2305,8 +2241,9 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_and_rejects_corrupt_indexes() {
+    fn from_parts_round_trips_and_rejects_malformed_columns() {
         let g = oriented_torus(3, 4).unwrap();
+        let n = g.num_nodes();
         for lifetime in [None, Some(9)] {
             let program = ScriptedStepper { lifetime };
             for start in [0usize, 5, 11] {
@@ -2314,57 +2251,40 @@ mod tests {
                 let parts = || TimelineParts {
                     starts: original.starts().to_vec(),
                     nodes: original.seg_nodes().to_vec(),
-                    occ_starts: original.occ_starts().to_vec(),
-                    occ_start: original.occ_interval_starts().to_vec(),
-                    occ_end: original.occ_interval_ends().to_vec(),
-                    occ_seg: original.occ_segs().to_vec(),
                 };
-                let rebuilt = Timeline::from_parts(g.num_nodes(), 40, parts()).unwrap();
-                assert_eq!(
-                    rebuilt.segments().collect::<Vec<_>>(),
-                    original.segments().collect::<Vec<_>>()
-                );
-                assert_eq!(rebuilt.total_moves(), original.total_moves());
-                assert_eq!(rebuilt.terminated(), original.terminated());
-                // ... and the occupancy index is installed bit-identically
-                assert_eq!(rebuilt.occ_starts(), original.occ_starts());
-                assert_eq!(rebuilt.occ_segs(), original.occ_segs());
-                let other = Timeline::record(&g, &program, (start + 1) % g.num_nodes(), 40);
-                for delta in [0 as Round, 2, 6] {
-                    let stic = Stic::new(start, (start + 1) % g.num_nodes(), delta);
-                    assert_eq!(
-                        merge_timelines(&rebuilt, &other, &stic, 40),
-                        merge_timelines(&original, &other, &stic, 40),
-                        "rebuilt-from-parts timeline diverged on {stic}"
-                    );
-                }
+                // the rebuilt occupancy index equals the recorded one, so
+                // the whole timeline does
+                assert_eq!(Timeline::from_parts(n, 40, parts()).unwrap(), original);
 
-                // a swapped occupancy pair is caught (order violated)
-                if original.num_segments() >= 3 {
-                    let mut bad = parts();
-                    bad.occ_seg.swap(0, 1);
-                    bad.occ_start.swap(0, 1);
-                    bad.occ_end.swap(0, 1);
-                    assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                }
-                // an interval that disagrees with its segment is caught
+                // a node out of range is caught
                 let mut bad = parts();
-                bad.occ_end[0] += 1;
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                // truncated occupancy arrays are caught
+                bad.nodes[0] = n as u32;
+                assert!(Timeline::from_parts(n, 40, bad).is_err());
+                // a missing sentinel is caught
                 let mut bad = parts();
-                bad.occ_seg.pop();
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                // a mis-shapen CSR is caught
+                bad.starts.pop();
+                assert!(Timeline::from_parts(n, 40, bad).is_err());
+                // an empty (non-increasing) interval is caught
                 let mut bad = parts();
-                *bad.occ_starts.last_mut().unwrap() += 1;
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                // a non-canonical start array is caught
+                bad.starts[1] = 0;
+                assert!(Timeline::from_parts(n, 40, bad).is_err());
+                // a start array that does not begin at round 0 is caught
                 let mut bad = parts();
                 bad.starts[0] += 1;
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
+                assert!(Timeline::from_parts(n, 40, bad).is_err());
+                // a recording longer than its declared horizon is caught
+                if !original.terminated() {
+                    assert!(Timeline::from_parts(n, 20, parts()).is_err());
+                }
             }
         }
+        // a tail that wanders off the final node is caught
+        let wandering = TimelineParts { starts: vec![0, 3, INFINITY], nodes: vec![0, 1] };
+        assert!(Timeline::from_parts(4, 10, wandering).is_err());
+        // no segments at all is caught
+        assert!(
+            Timeline::from_parts(4, 10, TimelineParts { starts: vec![0], nodes: vec![] }).is_err()
+        );
     }
 
     /// Seeded mover/waiter mix for the recording differential: waits of

@@ -27,24 +27,24 @@
 //! [`Store::gc`] garbage-collects frames that can no longer serve anything
 //! (corrupt, version-stale, or shard partials superseded by a merged table).
 //!
-//! ## Flat v3 payloads
+//! ## Flat payloads
 //!
-//! Since format version 3 the heavy payloads are stored the way the batch
-//! engine consumes them.  A timeline entry is the *assembled*
-//! struct-of-arrays representation of [`Timeline`] — segment boundaries,
-//! segment nodes and the per-node occupancy CSR index — written as
-//! 16-aligned flat arrays, so a load is one `fs::read` plus one bulk copy
-//! per array straight into [`Timeline::from_parts`]: no per-segment decode
-//! loop and **no re-indexing** (the occupancy index that used to be rebuilt
-//! by a counting sort on every open ships inside the frame and is only
-//! shape-validated).  Outcome tables likewise store one flat column per
-//! [`SimOutcome`] field.  Serving a shorter horizon no longer copies
-//! either: [`Store::warm_engine`] installs the longer recording as-is and
-//! the merge kernels clip at query time, which is exact because truncated
-//! runs are prefixes.  Timeline payloads also lead with a summary of their
-//! distinct recorded horizons, so [`Store::stats`] and [`Store::gc`] can
-//! survey a directory from bounded prefix reads (64 KiB per file) instead
-//! of pulling every payload off disk; a file small enough to fit in the
+//! The heavy payloads are stored as flat columns, 16-aligned in the file,
+//! so a load is one `fs::read` plus one bulk copy per column.  Since format
+//! version 6 a timeline entry is just its two primary columns — segment
+//! starts (with the trailing sentinel) and segment nodes — and
+//! [`Timeline::from_parts`] validates them and rebuilds the per-node
+//! occupancy index by the same counting sort recording runs: that costs
+//! less than reading and checking a shipped index, which was three
+//! quarters of the bytes.  Symbolic entries store their prefix and cycle
+//! blocks the same way.  Outcome tables store one flat column per
+//! [`SimOutcome`] field.  Serving a shorter horizon copies nothing:
+//! [`Store::warm_engine`] installs the longer recording as-is and the merge
+//! kernels clip at query time, which is exact because truncated runs are
+//! prefixes.  Timeline payloads also lead with a summary of their distinct
+//! recorded horizons, so [`Store::stats`] and [`Store::gc`] can survey a
+//! directory from bounded prefix reads (64 KiB per file) instead of
+//! pulling every payload off disk; a file small enough to fit in the
 //! prefix is still fully checksum-verified, a larger one is header- and
 //! identity-gated and left for its load path to verify.
 //!
@@ -66,6 +66,7 @@
 //! one way to poison this cache; key discipline is the caller's contract,
 //! everything else is verified.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -474,11 +475,11 @@ impl Store {
     }
 
     /// Load every recorded timeline of `(g, program_key)` — each carrying
-    /// its **own** recorded horizon — or `None` on any miss.  The v3 layout
-    /// stores each entry as the engine's assembled flat arrays, so decoding
-    /// is one bulk copy per array into [`Timeline::from_parts`], which
-    /// shape-validates the shipped occupancy index instead of rebuilding
-    /// it; one bad entry rejects the whole file.
+    /// its **own** recorded horizon — or `None` on any miss.  Each entry is
+    /// one bulk copy per column into [`Timeline::from_parts`], which
+    /// validates the columns and rebuilds the occupancy index (the entries
+    /// are split across the available cores for that); one bad entry
+    /// rejects the whole file.
     pub fn load_timelines(
         &self,
         g: &PortGraph,
@@ -506,7 +507,7 @@ impl Store {
             return None;
         }
         let mut seen = vec![false; n];
-        let mut out = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let start = usize::try_from(d.u64()?).ok()?;
             if start >= n || seen[start] {
@@ -514,28 +515,19 @@ impl Store {
             }
             seen[start] = true;
             let horizon = d.u128()?;
-            let nsegs = d.usize()?;
-            let parts = TimelineParts {
-                starts: d.u128_vec(nsegs.checked_add(1)?)?,
-                nodes: d.u32_vec(nsegs)?,
-                occ_starts: d.u32_vec(n.checked_add(1)?)?,
-                occ_start: d.u128_vec(nsegs)?,
-                occ_end: d.u128_vec(nsegs)?,
-                occ_seg: d.u32_vec(nsegs)?,
-            };
-            out.push((start, Timeline::from_parts(n, horizon, parts).ok()?));
+            entries.push((start, horizon, decode_parts(&mut d)?));
         }
         // the up-front horizon summary (what bounded-prefix stats report)
         // must agree with the entries themselves
-        if summary != distinct_horizons(out.iter().map(|(_, t)| t.recorded_horizon())) {
+        if summary != distinct_horizons(entries.iter().map(|&(_, h, _)| h)) || !d.exhausted() {
             return None;
         }
-        d.exhausted().then_some(out)
+        rebuild_timelines(n, entries)
     }
 
     /// Persist a set of recorded timelines, each at its own recorded
-    /// horizon, as flat v3 struct-of-arrays entries.  Returns the artifact
-    /// path.
+    /// horizon, as two-column entries (segment count, `starts`, `nodes`).
+    /// Returns the artifact path.
     pub fn save_timelines(
         &self,
         g: &PortGraph,
@@ -553,13 +545,7 @@ impl Store {
         for (start, t) in timelines {
             e.u64(*start as u64);
             e.u128(t.recorded_horizon());
-            e.usize(t.num_segments());
-            e.u128_slice(t.starts());
-            e.u32_slice(t.seg_nodes());
-            e.u32_slice(t.occ_starts());
-            e.u128_slice(t.occ_interval_starts());
-            e.u128_slice(t.occ_interval_ends());
-            e.u32_slice(t.occ_segs());
+            encode_parts(&mut e, t.starts(), t.seg_nodes());
         }
         let path = self.timelines_path(g, program_key);
         self.write_atomic(&path, &e.into_frame(Kind::Timelines))?;
@@ -630,27 +616,22 @@ impl Store {
             return Ok(0);
         }
         self.with_lock(&self.timelines_path(g, program_key), || {
-            let mut merged: Vec<Option<Timeline>> = vec![None; g.num_nodes()];
-            if let Some(existing) = self.load_timelines(g, program_key) {
-                for (u, t) in existing {
-                    merged[u] = Some(t);
-                }
+            let existing = self.load_timelines(g, program_key).unwrap_or_default();
+            let mut merged: Vec<Option<&Timeline>> = vec![None; g.num_nodes()];
+            for (u, t) in &existing {
+                merged[*u] = Some(t);
             }
             for (u, t) in cache.computed_timelines() {
                 // keep the longer recording; at equal horizons the contents
                 // are identical (programs being deterministic)
-                let keep_fresh = merged[u]
-                    .as_ref()
-                    .is_none_or(|old| old.recorded_horizon() <= t.recorded_horizon());
-                if keep_fresh {
-                    merged[u] = Some(t.clone());
+                if merged[u].is_none_or(|old| old.recorded_horizon() <= t.recorded_horizon()) {
+                    merged[u] = Some(t);
                 }
             }
-            let owned: Vec<(NodeId, Timeline)> =
+            let entries: Vec<(NodeId, &Timeline)> =
                 merged.into_iter().enumerate().filter_map(|(u, t)| t.map(|t| (u, t))).collect();
-            let borrowed: Vec<(NodeId, &Timeline)> = owned.iter().map(|(u, t)| (*u, t)).collect();
-            self.save_timelines(g, program_key, &borrowed)?;
-            Ok(borrowed.len())
+            self.save_timelines(g, program_key, &entries)?;
+            Ok(entries.len())
         })
     }
 
@@ -699,8 +680,8 @@ impl Store {
             let tail = SymbolicTail::from_code(d.u8()?)?;
             let preperiod = d.u128()?;
             let period = d.u128()?;
-            let prefix = decode_parts(&mut d, n)?;
-            let cycle = decode_parts(&mut d, n)?;
+            let prefix = decode_parts(&mut d)?;
+            let cycle = decode_parts(&mut d)?;
             let s = SymbolicTimeline::from_raw(n, preperiod, period, tail, prefix, cycle).ok()?;
             out.push((start, s));
         }
@@ -709,8 +690,8 @@ impl Store {
 
     /// Persist a set of symbolic timelines as one `SymbolicTimelines`
     /// frame: per entry the tail kind, the `(preperiod, period)` pair and
-    /// the prefix and cycle [`TimelineParts`] as v3-style flat-array
-    /// blocks.  Returns the artifact path.
+    /// the prefix and cycle [`TimelineParts`] as two-column blocks.
+    /// Returns the artifact path.
     pub fn save_symbolic_timelines(
         &self,
         g: &PortGraph,
@@ -727,8 +708,8 @@ impl Store {
             e.u8(s.tail().code());
             e.u128(s.preperiod());
             e.u128(s.period());
-            encode_parts(&mut e, s.prefix());
-            encode_parts(&mut e, s.cycle());
+            encode_parts(&mut e, &s.prefix().starts, &s.prefix().nodes);
+            encode_parts(&mut e, &s.cycle().starts, &s.cycle().nodes);
         }
         let path = self.symbolic_path(g, program_key);
         self.write_atomic(&path, &e.into_frame(Kind::SymbolicTimelines))?;
@@ -751,23 +732,18 @@ impl Store {
         let cache = engine.cache();
         let g = cache.graph();
         self.with_lock(&self.symbolic_path(g, program_key), || {
-            let mut merged: Vec<Option<SymbolicTimeline>> = vec![None; g.num_nodes()];
-            if let Some(existing) = self.load_symbolic_timelines(g, program_key) {
-                for (u, s) in existing {
-                    merged[u] = Some(s);
-                }
+            let existing = self.load_symbolic_timelines(g, program_key).unwrap_or_default();
+            let mut merged: Vec<Option<&SymbolicTimeline>> = vec![None; g.num_nodes()];
+            for (u, s) in &existing {
+                merged[*u] = Some(s);
             }
             for (u, s) in cache.computed_symbolic_timelines() {
-                if merged[u].is_none() {
-                    merged[u] = Some(s.clone());
-                }
+                merged[u].get_or_insert(s);
             }
-            let owned: Vec<(NodeId, SymbolicTimeline)> =
+            let entries: Vec<(NodeId, &SymbolicTimeline)> =
                 merged.into_iter().enumerate().filter_map(|(u, s)| s.map(|s| (u, s))).collect();
-            let borrowed: Vec<(NodeId, &SymbolicTimeline)> =
-                owned.iter().map(|(u, s)| (*u, s)).collect();
-            self.save_symbolic_timelines(g, program_key, &borrowed)?;
-            Ok(borrowed.len())
+            self.save_symbolic_timelines(g, program_key, &entries)?;
+            Ok(entries.len())
         })
     }
 
@@ -1276,32 +1252,18 @@ fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
             let count = d.usize().ok_or_else(truncated)?;
             let num_horizons = d.usize().ok_or_else(truncated)?;
             let summary = d.u128_vec(num_horizons).ok_or_else(truncated)?;
-            if count > 0 && n.checked_mul(4).is_none_or(|b| b > d.remaining()) {
-                return Err("node-count-overruns-payload".into());
-            }
-            let mut seen = vec![false; if count > 0 { n } else { 0 }];
-            let mut horizons = Vec::with_capacity(count.min(d.remaining()));
+            // `n` is declared, not known: nothing below is sized by it
+            let mut seen = HashSet::new();
+            let mut horizons = Vec::new();
             for _ in 0..count {
                 let start = d.u64().ok_or_else(truncated)?;
-                match usize::try_from(start).ok().filter(|&u| u < n && !seen[u]) {
-                    Some(u) => seen[u] = true,
-                    None => return Err("timeline-start-node-invalid".into()),
+                if start >= n as u64 || !seen.insert(start) {
+                    return Err("timeline-start-node-invalid".into());
                 }
                 let horizon = d.u128().ok_or_else(truncated)?;
-                let nsegs = d.usize().ok_or_else(truncated)?;
-                let parts = TimelineParts {
-                    starts: d
-                        .u128_vec(nsegs.checked_add(1).ok_or_else(truncated)?)
-                        .ok_or_else(truncated)?,
-                    nodes: d.u32_vec(nsegs).ok_or_else(truncated)?,
-                    occ_starts: d
-                        .u32_vec(n.checked_add(1).ok_or_else(truncated)?)
-                        .ok_or_else(truncated)?,
-                    occ_start: d.u128_vec(nsegs).ok_or_else(truncated)?,
-                    occ_end: d.u128_vec(nsegs).ok_or_else(truncated)?,
-                    occ_seg: d.u32_vec(nsegs).ok_or_else(truncated)?,
-                };
-                Timeline::from_parts(n, horizon, parts)
+                decode_parts(d)
+                    .ok_or_else(truncated)?
+                    .validate(n, horizon)
                     .map_err(|e| format!("timeline-shape-invalid: {e}"))?;
                 horizons.push(horizon);
             }
@@ -1314,22 +1276,18 @@ fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
             let n = d.usize().ok_or_else(truncated)?;
             d.str().ok_or_else(|| "program-key-malformed".to_string())?;
             let count = d.usize().ok_or_else(truncated)?;
-            if count > 0 && n.checked_mul(4).is_none_or(|b| b > d.remaining()) {
-                return Err("node-count-overruns-payload".into());
-            }
-            let mut seen = vec![false; if count > 0 { n } else { 0 }];
+            let mut seen = HashSet::new();
             for _ in 0..count {
                 let start = d.u64().ok_or_else(truncated)?;
-                match usize::try_from(start).ok().filter(|&u| u < n && !seen[u]) {
-                    Some(u) => seen[u] = true,
-                    None => return Err("symbolic-start-node-invalid".into()),
+                if start >= n as u64 || !seen.insert(start) {
+                    return Err("symbolic-start-node-invalid".into());
                 }
                 let tail = SymbolicTail::from_code(d.u8().ok_or_else(truncated)?)
                     .ok_or_else(|| "symbolic-tail-code-invalid".to_string())?;
                 let preperiod = d.u128().ok_or_else(truncated)?;
                 let period = d.u128().ok_or_else(truncated)?;
-                let prefix = decode_parts(d, n).ok_or_else(truncated)?;
-                let cycle = decode_parts(d, n).ok_or_else(truncated)?;
+                let prefix = decode_parts(d).ok_or_else(truncated)?;
+                let cycle = decode_parts(d).ok_or_else(truncated)?;
                 SymbolicTimeline::from_raw(n, preperiod, period, tail, prefix, cycle)
                     .map_err(|e| format!("symbolic-shape-invalid: {e}"))?;
             }
@@ -1444,7 +1402,7 @@ fn peek_prefix_frame(kind: Kind, prefix: &[u8], file_len: u64) -> Option<Dec<'_>
     }
 }
 
-/// The entry count and distinct-horizon summary a v3 timelines payload
+/// The entry count and distinct-horizon summary a timelines payload
 /// leads with.
 fn peek_timeline_horizons(d: &mut Dec<'_>) -> Option<(usize, Vec<Round>)> {
     let _hash = d.u128()?;
@@ -1501,6 +1459,39 @@ fn decode_outcomes_body(
         return None;
     }
     d.exhausted().then_some((table, recorded))
+}
+
+/// Rebuild decoded `(start, horizon, columns)` entries through
+/// [`Timeline::from_parts`], one contiguous slice of entries per available
+/// core: the occupancy-index rebuild dominates a warm load.  `None` when
+/// any entry fails validation.
+fn rebuild_timelines(
+    n: usize,
+    mut entries: Vec<(NodeId, Round, TimelineParts)>,
+) -> Option<Vec<(NodeId, Timeline)>> {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let per_worker = entries.len().div_ceil(workers).max(1);
+    let mut slices = Vec::with_capacity(workers);
+    while entries.len() > per_worker {
+        let rest = entries.split_off(per_worker);
+        slices.push(std::mem::replace(&mut entries, rest));
+    }
+    slices.push(entries);
+    let rebuilt: Option<Vec<Vec<(NodeId, Timeline)>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slices
+            .into_iter()
+            .map(|slice| {
+                scope.spawn(move || {
+                    slice
+                        .into_iter()
+                        .map(|(u, h, parts)| Timeline::from_parts(n, h, parts).ok().map(|t| (u, t)))
+                        .collect::<Option<Vec<_>>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("timeline rebuild panicked")).collect()
+    });
+    Some(rebuilt?.into_iter().flatten().collect())
 }
 
 /// The sorted distinct horizons of a timeline set — the up-front summary a
@@ -1581,32 +1572,21 @@ pub(crate) fn decode_plan_identity(
     .then_some(())
 }
 
-/// Encode one [`TimelineParts`] block (prefix or cycle half of a symbolic
-/// entry) as v3-style aligned flat arrays: a segment count, then the six
-/// columns in the same order the explicit timeline entries use.
-pub(crate) fn encode_parts(e: &mut Enc, parts: &TimelineParts) {
-    e.usize(parts.nodes.len());
-    e.u128_slice(&parts.starts);
-    e.u32_slice(&parts.nodes);
-    e.u32_slice(&parts.occ_starts);
-    e.u128_slice(&parts.occ_start);
-    e.u128_slice(&parts.occ_end);
-    e.u32_slice(&parts.occ_seg);
+/// Encode one two-column block — an explicit timeline entry, or the
+/// prefix or cycle half of a symbolic entry: a segment count, then the
+/// aligned `starts` (with its sentinel) and `nodes` columns.
+fn encode_parts(e: &mut Enc, starts: &[Round], nodes: &[u32]) {
+    e.usize(nodes.len());
+    e.u128_slice(starts);
+    e.u32_slice(nodes);
 }
 
-/// Decode an [`encode_parts`] block for an `n`-node graph; `None` on
-/// malformed input.  Shape and occupancy validation is the caller's
-/// ([`SymbolicTimeline::from_raw`]).
-pub(crate) fn decode_parts(d: &mut Dec<'_>, n: usize) -> Option<TimelineParts> {
+/// Decode an [`encode_parts`] block; `None` on malformed input.  Column
+/// validation is the caller's ([`Timeline::from_parts`],
+/// [`SymbolicTimeline::from_raw`]).
+fn decode_parts(d: &mut Dec<'_>) -> Option<TimelineParts> {
     let nsegs = d.usize()?;
-    Some(TimelineParts {
-        starts: d.u128_vec(nsegs.checked_add(1)?)?,
-        nodes: d.u32_vec(nsegs)?,
-        occ_starts: d.u32_vec(n.checked_add(1)?)?,
-        occ_start: d.u128_vec(nsegs)?,
-        occ_end: d.u128_vec(nsegs)?,
-        occ_seg: d.u32_vec(nsegs)?,
-    })
+    Some(TimelineParts { starts: d.u128_vec(nsegs.checked_add(1)?)?, nodes: d.u32_vec(nsegs)? })
 }
 
 /// Encode one [`SimOutcome`] exactly (every field, `u128`s included).
@@ -1649,7 +1629,7 @@ pub(crate) fn decode_outcome(d: &mut Dec<'_>) -> Option<SimOutcome> {
     })
 }
 
-/// Encode a whole outcome table as flat v3 struct-of-arrays columns: a
+/// Encode a whole outcome table as flat struct-of-arrays columns: a
 /// length, then one aligned array per [`SimOutcome`] field (meeting fields
 /// zero-filled where the flag bit is off, so every table has exactly one
 /// encoding).  Shared by the merged-table and shard-partial payloads.
@@ -1909,6 +1889,67 @@ mod tests {
         e.u128_slice(&[]);
         fs::write(store.timelines_path(&g, "forged"), e.into_frame(Kind::Timelines)).unwrap();
         assert!(store.load_timelines(&g, "forged").is_none());
+
+        // one entry whose two-column block claims 2^60 segments
+        let mut e = Enc::new();
+        e.u128(g.canonical_hash());
+        e.usize(g.num_nodes());
+        e.str("forged");
+        e.usize(1);
+        e.usize(1);
+        e.u128_slice(&[8]);
+        e.u64(0);
+        e.u128(8);
+        e.usize(1 << 60);
+        e.u128_slice(&[0, 9]);
+        e.u32_slice(&[0]);
+        fs::write(store.timelines_path(&g, "forged"), e.into_frame(Kind::Timelines)).unwrap();
+        assert!(store.load_timelines(&g, "forged").is_none());
+
+        // the same for a symbolic entry's prefix block, and for a symbolic
+        // entry count
+        for (count, nsegs) in [(1usize, 1usize << 60), (1 << 60, 1)] {
+            let mut e = Enc::new();
+            e.u128(g.canonical_hash());
+            e.usize(g.num_nodes());
+            e.str("forged");
+            e.usize(count);
+            e.u64(0);
+            e.u8(SymbolicTail::Parked.code());
+            e.u128(0);
+            e.u128(0);
+            encode_parts(&mut e, &[0], &[]);
+            e.usize(nsegs);
+            e.u128_slice(&[0, 1]);
+            e.u32_slice(&[0]);
+            fs::write(store.symbolic_path(&g, "forged"), e.into_frame(Kind::SymbolicTimelines))
+                .unwrap();
+            assert!(store.load_symbolic_timelines(&g, "forged").is_none());
+        }
+
+        // fsck sizes nothing by a declared node count: a well-formed entry
+        // under n = 2^60 verifies without allocating per node
+        let mut e = Enc::new();
+        e.u128(g.canonical_hash());
+        e.usize(1 << 60);
+        e.str("forged-n");
+        e.usize(1);
+        e.usize(1);
+        e.u128_slice(&[8]);
+        e.u64(3);
+        e.u128(8);
+        encode_parts(&mut e, &[0, 9], &[3]);
+        fs::write(store.timelines_path(&g, "forged-n"), e.into_frame(Kind::Timelines)).unwrap();
+        let report = store.fsck(false).unwrap();
+        let verdict = |name: &str| {
+            let entry = report.entries.iter().find(|e| e.name == name).unwrap();
+            entry.verdict.clone()
+        };
+        let name = |p: PathBuf| p.file_name().unwrap().to_string_lossy().into_owned();
+        assert_eq!(verdict(&name(store.timelines_path(&g, "forged-n"))), FsckVerdict::Valid);
+        for forged in [store.timelines_path(&g, "forged"), store.symbolic_path(&g, "forged")] {
+            assert!(matches!(verdict(&name(forged)), FsckVerdict::Corrupt(_)));
+        }
     }
 
     #[test]
@@ -2059,12 +2100,12 @@ mod tests {
         store.persist_engine(planned.engine(), key).unwrap();
 
         // rewrite every artifact as a **checksum-valid older version**: the
-        // version gate alone must turn them into misses (a v2 payload laid
-        // out under v3 rules would decode garbage)
+        // version gate alone must turn them into misses (a v5 payload laid
+        // out under v6 rules would decode garbage)
         for entry in fs::read_dir(&dir.0).unwrap() {
             let path = entry.unwrap().path();
             let mut bytes = fs::read(&path).unwrap();
-            bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+            bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
             let body = bytes.len() - 8;
             let sum = fnv64(&bytes[..body]).to_le_bytes();
             bytes[body..].copy_from_slice(&sum);

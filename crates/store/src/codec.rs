@@ -11,7 +11,7 @@
 //!
 //! All integers are little-endian.  The header is exactly 32 bytes, so a
 //! payload offset that is a multiple of 16 is also a 16-aligned *file*
-//! offset: the v3 payloads place their flat `u128`/`u64`/`u32` arrays on
+//! offset: the payloads place their flat `u128`/`u64`/`u32` arrays on
 //! 16-byte boundaries ([`Enc::align16`]/[`Dec::align16`]) and move them
 //! with the bulk array codecs below — one `extend_from_slice`-style copy
 //! per array instead of a per-element decode loop.  The frame gives every
@@ -52,26 +52,32 @@ pub(crate) const MAGIC: [u8; 8] = *b"ANRVSTOR";
 /// [`Kind::SymbolicTimelines`] frame stores each start node's
 /// `prefix · cycle^∞` decomposition as two v3-style flat-array blocks
 /// (prefix and cycle columns).  No existing payload layout changed, so
-/// readers accept [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]: v3
-/// explicit frames keep loading verbatim.
+/// v4 readers accepted versions 3 and 4 alike: v3 explicit frames kept
+/// loading verbatim.
 /// Version 5: added a closed-form group descriptor kind (tag 6), since
 /// retired: re-verifying a closed-form group costs less than probing for
 /// it, so the store recomputes it every session.  A leftover v5 `group-`
 /// file is a foreign file to the store.  No payload layout changed: v3/v4
-/// `orbits-` frames keep loading verbatim.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// `orbits-` frames kept loading verbatim.
+/// Version 6: two-column timelines — explicit timeline entries and the
+/// prefix/cycle blocks of symbolic entries store only `starts` and `nodes`
+/// (a segment count, then the two aligned columns); the occupancy index is
+/// rebuilt on load by the counting sort recording runs.  Every older frame
+/// fails the version gate: a miss, recomputed and rewritten, never
+/// quarantined.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
-/// Oldest format version readers still accept.  Versions 3 through 5 share
-/// every payload layout of the live kinds (v4 and v5 only *added* kinds),
-/// so a v3 frame is served as-is rather than treated as stale.
-pub(crate) const MIN_FORMAT_VERSION: u32 = 3;
+/// Oldest format version readers still accept.  Version 6 changed the
+/// timeline layouts, so nothing older is read (other kinds are cheap to
+/// recompute and rewrite, and one gate keeps the reader single-layout).
+pub(crate) const MIN_FORMAT_VERSION: u32 = 6;
 
 /// Frame header size: magic(8) + version(4) + kind(1) + reserved(11) +
 /// payload length(8).  The 11 reserved zero bytes pad the header to 32 so
 /// 16-aligned payload offsets are 16-aligned file offsets.
 pub(crate) const HEADER: usize = 32;
 
-/// Alignment of the flat arrays inside v3 payloads (the widest element,
+/// Alignment of the flat arrays inside payloads (the widest element,
 /// `u128`).
 pub(crate) const ALIGN: usize = 16;
 
@@ -209,7 +215,7 @@ impl<'a> Dec<'a> {
         Some(slice)
     }
 
-    /// The inverse of [`Enc::u8`] — an unaligned scalar byte.  The v3
+    /// The inverse of [`Enc::u8`] — an unaligned scalar byte.  The
     /// payloads move byte *columns* with [`Dec::u8_vec`]; the symbolic
     /// entries read their tail-kind code through this.
     pub(crate) fn u8(&mut self) -> Option<u8> {

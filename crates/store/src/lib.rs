@@ -40,18 +40,17 @@
 //!   recompute-and-overwrite on any mismatch — see [`cache`] for the trust
 //!   model and `codec.rs` for the frame layout.
 //!
-//!   Format version 4 frames are **zero-copy-shaped**: a 32-byte header, a
-//!   payload of 16-aligned little-endian flat arrays in the engines' own
-//!   struct-of-arrays layout (timeline segment columns + occupancy CSR;
-//!   one column per outcome field), and one trailing checksum amortised
-//!   over the whole frame.  Loading is a single `fs::read` plus bulk
-//!   column decodes straight into
-//!   [`Timeline::from_parts`](anonrv_sim::Timeline::from_parts) — no
-//!   per-entry re-indexing — and [`Store::stats`] / [`Store::gc`] survey a
-//!   cache directory from a bounded 64 KiB prefix per file, never loading
-//!   the arrays.  Version 4 only *adds* the symbolic kind; readers accept
-//!   versions `3..=4`, so v3 frames keep loading verbatim while versions
-//!   outside the range stay plain (non-quarantined) misses.
+//!   Format version 6 frames are **flat**: a 32-byte header, a payload of
+//!   16-aligned little-endian columns (each timeline's two primary columns,
+//!   `starts` and `nodes`; one column per outcome field), and one trailing
+//!   checksum amortised over the whole frame.  Loading is a single
+//!   `fs::read` plus bulk column decodes into
+//!   [`Timeline::from_parts`](anonrv_sim::Timeline::from_parts), which
+//!   rebuilds the occupancy index by one counting sort, and
+//!   [`Store::stats`] / [`Store::gc`] survey a cache directory from a
+//!   bounded 64 KiB prefix per file, never loading the columns.  Readers
+//!   accept version 6 only: an older frame is a plain (non-quarantined)
+//!   miss, recomputed and rewritten.
 //! * [`SweepSession`] — the one orchestrator every front-end drives (the
 //!   CLI `sweep`/`cache` commands, the experiment harness, the benchmark
 //!   binaries): plan → cache-probe → execute-representatives → record →

@@ -469,10 +469,14 @@ impl<'a> SweepSession<'a> {
                 return Ok((outcomes, provenance));
             }
         }
-        // cold: execute the representatives, persist everything
+        // cold: execute the representatives, persist everything.  The table
+        // is reserved before any work, so a plan whose table cannot exist
+        // fails with its size instead of aborting the process.
+        let mut table = reserve_table(plan.num_representative_queries())?;
         self.ensure_warm();
         let execute_span = obs::span("session.execute");
-        let outcomes = self.planned.run(plan);
+        self.planned.run_into(plan, &mut table);
+        let outcomes = PlannedOutcomes::from_table(plan, table)?;
         drop(execute_span);
         self.persist_timelines()?;
         if let Some(store) = self.store {
@@ -728,6 +732,22 @@ impl<'a> SweepSession<'a> {
     }
 }
 
+/// An empty outcome table with room for `entries` outcomes, or an error
+/// naming the byte estimate when that much memory cannot be had — a plan
+/// too large to tabulate then fails like any bad input instead of
+/// aborting the process.
+fn reserve_table(entries: usize) -> Result<Vec<SimOutcome>, String> {
+    let mut table = Vec::new();
+    table.try_reserve_exact(entries).map_err(|_| {
+        let bytes = entries as u128 * std::mem::size_of::<SimOutcome>() as u128;
+        format!(
+            "cannot allocate the outcome table: {entries} entries x {} B = {bytes} bytes",
+            std::mem::size_of::<SimOutcome>()
+        )
+    })?;
+    Ok(table)
+}
+
 /// Retry policy of [`SweepSession::run_sharded_supervised`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperviseConfig {
@@ -818,6 +838,22 @@ mod tests {
 
     fn walker() -> Walker {
         Walker { seed: 0x5EED }
+    }
+
+    #[test]
+    fn an_unallocatable_outcome_table_is_an_error_naming_its_size() {
+        let size = std::mem::size_of::<SimOutcome>();
+        // past any address space: the allocator refuses and the caller gets
+        // an error (a capacity overflow likewise)
+        for entries in [isize::MAX as usize / size, usize::MAX] {
+            let err = reserve_table(entries).unwrap_err();
+            let bytes = entries as u128 * size as u128;
+            assert!(
+                err.contains(&format!("{entries} entries x {size} B = {bytes} bytes")),
+                "{err}"
+            );
+        }
+        assert!(reserve_table(16).unwrap().capacity() >= 16);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use anonrv::graph::generators::oriented_ring;
 use anonrv::plan::{PairOrbits, SweepPlan};
 use anonrv::sim::{EngineConfig, SweepWalker};
-use anonrv::store::{OutcomeProvenance, Store, SweepSession};
+use anonrv::store::{FsckVerdict, OutcomeProvenance, Store, SweepSession};
 
 const KEY: &str = "prop-walker-5eed";
 
@@ -203,48 +203,63 @@ proptest! {
     }
 }
 
-/// Version-compat pin: v5 readers accept v3 frames verbatim (the payload
-/// layout is unchanged — v4 added the symbolic kind, v5 a group-descriptor
-/// kind since retired; neither changed a layout), while versions outside
-/// `3..=5` stay plain misses that degrade to recompute.
+/// Version pin: version 6 changed the timeline layouts, so readers accept
+/// v6 frames only.  A checksum-valid frame of any other version — the v5
+/// after-image of the format bump, older and newer ones alike — is a plain
+/// miss: never quarantined, called stale (not corrupt) by fsck, and
+/// rewritten at v6 by the next session, which serves the right table.
 #[test]
-fn version_3_explicit_frames_still_load_and_out_of_range_versions_miss() {
-    let dir = TempDir::new("v3compat");
+fn version_5_frames_are_stale_misses_rewritten_at_v6() {
+    let dir = TempDir::new("v5stale");
     let store = Store::open(&dir.0).unwrap();
     let g = oriented_ring(6).unwrap();
     let program = SweepWalker { seed: 0x5EED };
+    let session = |h| SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(h));
 
-    let mut seed_session =
-        SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
-    let plan = SweepPlan::from_orbits(seed_session.orbits().clone(), vec![0, 1], 16);
-    let (seeded, _) = seed_session.run_plan(&plan).unwrap();
-    let reference = seeded.table().to_vec();
-
-    // rewrite every artifact as a version-3 frame (checksum refreshed)
-    let artifacts = artifacts_with_prefix(&dir.0, "");
-    assert!(!artifacts.is_empty());
-    for artifact in &artifacts {
-        reseal_with_version(artifact, 3);
+    // explicit timelines at horizon 16, symbolic ones at an astronomical
+    // horizon, and the (horizon-free keyed) outcome table both write
+    let mut cases = Vec::new();
+    for h in [16, ASTRONOMICAL] {
+        let mut seeding = session(h);
+        let plan = SweepPlan::from_orbits(seeding.orbits().clone(), vec![0, 1], h);
+        let reference = seeding.run_plan(&plan).unwrap().0.table().to_vec();
+        cases.push((plan, reference));
     }
+    let artifacts = artifacts_with_prefix(&dir.0, "");
+    assert_eq!(artifacts_with_prefix(&dir.0, "timelines-").len(), 1);
+    assert_eq!(artifacts_with_prefix(&dir.0, "symbolic-").len(), 1);
+    let version_of = |path: &std::path::Path| {
+        let bytes = std::fs::read(path).unwrap();
+        u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+    };
 
-    // the store reads them verbatim: the very next session is fully warm
-    let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
-    let (served, prov) = warm.run_plan(&plan).unwrap();
-    assert_eq!(served.table(), reference.as_slice());
-    assert!(matches!(prov, OutcomeProvenance::WarmExact), "{prov:?}");
-
-    // versions outside the accepted range are plain misses — too old and
-    // too new alike degrade to recompute, never to a misparse
-    for stale in [2u32, 6u32] {
+    for stale in [5u32, 3, 7] {
         for artifact in &artifacts {
             reseal_with_version(artifact, stale);
         }
-        assert!(store.load_orbits(&g).is_none(), "version {stale} frame must miss");
-        let mut cold = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
-        let (recomputed, _) = cold.run_plan(&plan).unwrap();
-        // the recompute serves the right table and heals the artifacts
-        // back to the current version for the next iteration to re-stale
-        assert_eq!(recomputed.table(), reference.as_slice());
+        assert!(store.load_timelines(&g, KEY).is_none(), "v{stale} timelines must miss");
+        assert!(store.load_symbolic_timelines(&g, KEY).is_none(), "v{stale} symbolic must miss");
+        // a miss, not corruption: nothing moves, fsck calls every frame stale
+        assert!(artifacts.iter().all(|a| a.exists()), "v{stale} frames must stay put");
+        let quarantined = std::fs::read_dir(store.quarantine_dir()).map_or(0, |d| d.count());
+        assert_eq!(quarantined, 0, "v{stale} frames must not be quarantined");
+        let report = store.fsck(false).unwrap();
+        assert_eq!((report.stale, report.corrupt), (artifacts.len(), 0), "{:?}", report.entries);
+        assert!(report.entries.iter().all(|e| e.verdict == FsckVerdict::Stale));
+
+        // the next sessions recompute the right tables and rewrite every
+        // artifact at the current version
+        for (i, (plan, reference)) in cases.iter().enumerate() {
+            let (served, prov) = session(plan.horizon()).run_plan(plan).unwrap();
+            assert_eq!(served.table(), reference.as_slice());
+            if i == 0 {
+                assert_eq!(prov, OutcomeProvenance::Cold, "a stale table must miss");
+            }
+        }
+        assert!(artifacts.iter().all(|a| version_of(a) == 6), "v{stale} frames must be rewritten");
+        assert_eq!(store.load_timelines(&g, KEY).map(|t| t.len()), Some(6));
+        assert_eq!(store.load_symbolic_timelines(&g, KEY).map(|s| s.len()), Some(6));
+        assert_eq!(store.fsck(false).unwrap().valid, artifacts.len());
     }
 }
 

@@ -10,11 +10,15 @@
 //!    every query bit-identically to cold Batch, Lockstep *and* Streaming
 //!    engines;
 //! 2. a damaged superseding frame degrades to recompute — never to a stale
-//!    shorter answer (which no longer exists: supersession is in-place).
+//!    shorter answer (which no longer exists: supersession is in-place);
+//! 3. a timeline loaded from the store equals the fresh recording in every
+//!    column — the occupancy index rebuilt on load included — while the
+//!    frame itself holds nothing but the two primary columns.
 
 use proptest::prelude::*;
 
 use anonrv::graph::generators::{oriented_ring, random_connected};
+use anonrv::graph::NodeId;
 use anonrv::plan::SweepPlan;
 use anonrv::sim::{
     simulate_with, AgentProgram, EngineConfig, Navigator, Round, Stic, Stop, SweepEngine, Timeline,
@@ -140,6 +144,85 @@ proptest! {
         }
         // no program execution happened on the served engine beyond preloads
         prop_assert_eq!(served.cache().computed(), g.num_nodes());
+    }
+
+    /// Warm equals fresh: recordings saved through the store and loaded
+    /// back equal a fresh recording column for column.  Every case mixes a
+    /// terminating program (its `INFINITY` tail recorded at the long
+    /// horizon) with a non-terminating one (always horizon-cut), and
+    /// records even start nodes at the long horizon (prefix recordings
+    /// whose truncation must equal a fresh short recording) and odd ones at
+    /// the short.  The frame's length is exactly the two-column layout, so
+    /// no per-node array is stored.
+    #[test]
+    fn loaded_timelines_equal_fresh_recordings_and_frames_hold_two_columns(
+        n in 2usize..12,
+        extra in 0usize..6,
+        graph_seed in 0u64..200,
+        walker_seed in 0u64..1_000,
+        lifetime in 1u64..20,
+        long_horizon in 200u64..400,
+        short_frac in 0u64..100,
+    ) {
+        let extra = extra.min(n * (n - 1) / 2 - (n - 1));
+        let g = random_connected(n, extra, graph_seed).expect("valid generator parameters");
+        let long_horizon = long_horizon as Round;
+        let short = (short_frac as Round * long_horizon) / 100; // < long
+        let dir = TempDir::new("columns");
+        let store = Store::open(&dir.0).unwrap();
+        let (mut terminated, mut cut) = (0, 0);
+        for lifetime in [Some(lifetime), None] {
+            let program = ScriptedWalker { seed: walker_seed, lifetime };
+            let key = format!("prop-columns-{walker_seed}-{lifetime:?}");
+            let recorded: Vec<(NodeId, Timeline)> = g
+                .nodes()
+                .map(|u| {
+                    let h = if u % 2 == 0 { long_horizon } else { short };
+                    (u, Timeline::record(&g, &program, u, h))
+                })
+                .collect();
+            let entries: Vec<(NodeId, &Timeline)> = recorded.iter().map(|(u, t)| (*u, t)).collect();
+            let path = store.save_timelines(&g, &key, &entries).unwrap();
+            let loaded = store.load_timelines(&g, &key).expect("a fresh frame loads");
+            prop_assert_eq!(loaded.len(), recorded.len());
+            for ((u, fresh), (v, warm)) in recorded.iter().zip(&loaded) {
+                prop_assert_eq!(u, v);
+                prop_assert_eq!(warm.recorded_horizon(), fresh.recorded_horizon());
+                prop_assert_eq!(warm.starts(), fresh.starts());
+                prop_assert_eq!(warm.seg_nodes(), fresh.seg_nodes());
+                prop_assert_eq!(warm.occ_starts(), fresh.occ_starts());
+                prop_assert_eq!(warm.occ_interval_starts(), fresh.occ_interval_starts());
+                prop_assert_eq!(warm.occ_interval_ends(), fresh.occ_interval_ends());
+                prop_assert_eq!(warm.occ_segs(), fresh.occ_segs());
+                prop_assert_eq!(warm, fresh);
+                if warm.recorded_horizon() > short {
+                    prop_assert_eq!(warm.truncate(short), Timeline::record(&g, &program, *u, short));
+                }
+                if warm.terminated() {
+                    terminated += 1;
+                } else {
+                    cut += 1;
+                }
+            }
+
+            // header 32 | hash 16, n 8, key 8 + len, count 8, #horizons 8
+            // | horizon summary | per entry: start 8, horizon 16, nsegs 8,
+            // then the 16-aligned starts (nsegs + 1) x 16 and nodes nsegs x 4
+            // | checksum 8
+            let mut horizons: Vec<Round> = recorded.iter().map(|(_, t)| t.recorded_horizon()).collect();
+            horizons.sort_unstable();
+            horizons.dedup();
+            let mut payload = (48 + key.len()).next_multiple_of(16) + 16 * horizons.len();
+            for (_, t) in &recorded {
+                payload = (payload + 32).next_multiple_of(16) + 16 * (t.num_segments() + 1);
+                payload = payload.next_multiple_of(16) + 4 * t.num_segments();
+            }
+            let frame = std::fs::metadata(&path).unwrap().len() as usize;
+            prop_assert_eq!(frame, 32 + payload + 8);
+        }
+        // the terminating program ends well inside the long horizon; the
+        // other one is always cut
+        prop_assert!(terminated > 0 && cut > 0, "terminated {}, cut {}", terminated, cut);
     }
 
     /// A full session round trip: populate at `H`, serve a plan at `h < H`
