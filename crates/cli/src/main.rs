@@ -464,7 +464,18 @@ fn parse_deltas(spec: &str) -> Result<Vec<Round>, String> {
         if count == 0 {
             return Err("--deltas needs at least one delay".to_string());
         }
-        Ok((0..count).collect())
+        // an accepted count may still be too large to hold: refuse it like a
+        // bad input instead of aborting the process
+        let too_large = || {
+            let width = std::mem::size_of::<Round>();
+            let bytes = count.saturating_mul(width as Round);
+            format!("cannot allocate the delay grid: {count} delays x {width} B = {bytes} bytes")
+        };
+        let len = usize::try_from(count).map_err(|_| too_large())?;
+        let mut deltas = Vec::new();
+        deltas.try_reserve_exact(len).map_err(|_| too_large())?;
+        deltas.extend(0..count);
+        Ok(deltas)
     }
 }
 
@@ -1111,6 +1122,19 @@ mod tests {
         let err = run(&argv(&["sweep", "double-tree:6x6", "--deltas", "1", "--horizon", "16"]))
             .unwrap_err();
         assert!(err.contains("cannot allocate the outcome table: 6269088338 entries"), "{err}");
+    }
+
+    #[test]
+    fn a_delay_grid_that_cannot_be_allocated_fails_with_its_size() {
+        // 2^62 delays of 16 B each exceed any address space
+        let err = run(&argv(&["sweep", "ring:8", "--deltas", "4611686018427387904"])).unwrap_err();
+        assert!(
+            err.contains(
+                "cannot allocate the delay grid: 4611686018427387904 delays x 16 B = \
+                 73786976294838206464 bytes"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@ use rayon::prelude::*;
 
 use anonrv_graph::{NodeId, PortGraph};
 use anonrv_sim::{
-    merge_timelines_deltas_mapped, AgentProgram, EngineConfig, EngineMode, MergeScratch, Round,
-    SimOutcome, Stic, SweepEngine, UNROLL_CAP,
+    merge_timelines_deltas_mapped, AgentProgram, EngineConfig, EngineMode, Round, SimOutcome, Stic,
+    SweepEngine, UNROLL_CAP,
 };
 
 use crate::orbits::PairOrbits;
@@ -569,18 +569,11 @@ impl<'a> PlannedSweep<'a> {
                 .into_par_iter()
                 .map(|i| {
                     let (r, c) = self.orbits.representative(class_at(i));
-                    // one delta-sweep pass per class resolves the whole
-                    // δ-grid: the occupancy cursors and scratch buffers are
+                    // one δ-sweep pass per class resolves the whole δ-grid:
+                    // the occupancy probes and the later-timeline sweep are
                     // shared across the class's delays (see
-                    // `merge_timelines_deltas`)
-                    let mut scratch = MergeScratch::new();
-                    self.engine.simulate_deltas_capped_with(
-                        &mut scratch,
-                        r,
-                        c,
-                        plan.deltas(),
-                        plan.horizon(),
-                    )
+                    // `merge_timelines_deltas_mapped`)
+                    self.engine.simulate_deltas_capped(r, c, plan.deltas(), plan.horizon())
                 })
                 .collect();
             for block in blocks {
@@ -679,7 +672,15 @@ impl<'a> PlannedSweep<'a> {
             for outcomes in per_class {
                 buf.extend(outcomes);
             }
-            stats.classes += hi - base;
+            let classes = hi - base;
+            if anonrv_obs::enabled() {
+                // the kernel keeps no counters: one batched add per chunk,
+                // with the values a per-class pass would have added
+                anonrv_obs::counter_add("merge.delta_passes", classes as u64);
+                anonrv_obs::counter_add("merge.deltas", (classes * ndeltas) as u64);
+                anonrv_obs::counter_add("merge.segments", (classes * 2 * t0.num_segments()) as u64);
+            }
+            stats.classes += classes;
             stats.entries += buf.len();
             stats.met_entries += buf.iter().filter(|o| o.meeting.is_some()).count();
             visit(base, &buf);
@@ -699,10 +700,10 @@ impl<'a> PlannedSweep<'a> {
     /// cache, which on a warm cache costs timeline merges only, never a
     /// program execution.  The undetermined slots arrive class-major, so
     /// each class's surviving delays form one contiguous run; every run is
-    /// resolved through a single delta-sweep pass (shared occupancy cursors
-    /// and scratch, see `merge_timelines_deltas`) rather than one
-    /// independent merge per slot.  Returns the truncated table and the
-    /// number of entries that had to re-merge.
+    /// resolved through a single δ-sweep pass (shared occupancy probes, see
+    /// [`merge_timelines_deltas_mapped`]) rather than one independent merge
+    /// per slot.  Returns the truncated table and the number of entries
+    /// that had to re-merge.
     pub fn serve_prefix<'p>(
         &self,
         full: &PlannedOutcomes<'_>,
@@ -736,10 +737,7 @@ impl<'a> PlannedSweep<'a> {
         }
         let per_group: Vec<Vec<SimOutcome>> = groups
             .par_iter()
-            .map(|(r, c, deltas)| {
-                let mut scratch = MergeScratch::new();
-                self.engine.simulate_deltas_capped_with(&mut scratch, *r, *c, deltas, h)
-            })
+            .map(|(r, c, deltas)| self.engine.simulate_deltas_capped(*r, *c, deltas, h))
             .collect();
         let resolved: Vec<SimOutcome> = per_group.into_iter().flatten().collect();
         // `truncate` visits slots in order, so the resolved outcomes drain

@@ -22,19 +22,23 @@
 //!   visited in increasing time order, so the first equal-node window *is*
 //!   the earliest meeting and a query costs `O(segments(earlier) +
 //!   segments(later))` with no binary probes;
-//! * [`merge_timelines_deltas`] / [`merge_timelines_deltas_with`] — a whole
-//!   δ-sweep of one pair in one pass over the later timeline, probing the
-//!   earlier timeline's per-node *occupancy-interval index* (CSR over
-//!   struct-of-arrays interval bounds, built once at record time) through
-//!   monotone per-node cursors held in a reusable [`MergeScratch`];
+//! * [`merge_timelines_deltas_mapped`] — the one **δ-sweep kernel**: a
+//!   pair's whole delay grid in one pass over the later timeline, each
+//!   later segment resolved by one binary probe into the earlier
+//!   timeline's per-node *occupancy-interval index* (CSR over
+//!   struct-of-arrays interval bounds, rebuilt at record/load time); the
+//!   later timeline may be viewed through a node map, which is how one
+//!   recorded timeline serves every class of a vertex-transitive graph.
+//!   It needs no scratch and keeps no telemetry: its callers count passes;
+//! * [`merge_timelines_deltas`] — the same kernel under the identity map;
 //! * [`merge_timelines_extend`] — the incremental mode: extend an exact
 //!   horizon-`h` outcome to `H >= h` by resuming the sort-merge at the
 //!   segments still open at `h` instead of restarting, which is what serves
 //!   a stored outcome table recorded at a smaller horizon;
-//! * `merge_timelines_reference` / `merge_timelines_deltas_reference` —
-//!   the retained pre-kernel merges (binary occupancy probes), compiled only
-//!   under `cfg(test)` or the `ref-oracle` feature as the oracle the
-//!   differential suites pin the kernels against;
+//! * `merge_timelines_reference` — the retained pre-kernel single-STIC
+//!   merge (a binary occupancy probe per later segment), compiled only
+//!   under `cfg(test)` or the `ref-oracle` feature as an independent
+//!   oracle the differential suites pin both kernels against;
 //! * [`SweepEngine`] — the sweep-facing façade: an [`EngineConfig`] plus a
 //!   cache; [`EngineMode::Auto`] and [`EngineMode::Batch`] answer from the
 //!   cache (constructing a `SweepEngine` *is* the caller's signal that
@@ -536,9 +540,8 @@ impl Timeline {
     /// occupancy-interval index finds the first interval at `node` ending
     /// after `lo` in one binary search (intervals per node are disjoint, so
     /// sorted by `start` *and* by `end`).  Returns the segment index and the
-    /// first shared round.  (The sort-merge kernels track this implicitly
-    /// with monotone cursors; the binary probe survives for the reference
-    /// oracle.)
+    /// first shared round.  (The reference oracle's probe; the δ-sweep
+    /// kernel inlines the same search to cover a whole delay range.)
     #[cfg(any(test, feature = "ref-oracle"))]
     #[inline]
     fn first_visit(&self, node: NodeId, lo: Round, hi: Round) -> Option<(usize, Round)> {
@@ -621,30 +624,48 @@ fn merge_forward(
         let lo = sa[i].max(b_start + delay);
         let hi = a_hi.min(b_hi);
         if lo < hi && earlier.nodes[i] == later.nodes[j] {
-            return SimOutcome {
-                meeting: Some(Meeting {
-                    global_round: lo,
-                    later_round: lo - delay,
-                    node: earlier.nodes[i] as usize,
-                }),
-                earlier_moves: earlier.moves_before(i),
-                later_moves: later.moves_before(j),
-                earlier_terminated: earlier.tail_index() == Some(i),
-                later_terminated: later.tail_index() == Some(j),
-                horizon,
-            };
+            return merge_outcome(earlier, later, delay, Some((lo, i, j)), horizon);
         }
         i += usize::from(a_hi <= b_hi);
         j += usize::from(b_hi <= a_hi);
     }
-    let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-    let (later_moves, later_terminated) = later.totals_up_to(later_cap);
+    merge_outcome(earlier, later, delay, None, horizon)
+}
+
+/// The [`SimOutcome`] of one merged STIC at `delay`: a meeting at global
+/// round `at` between earlier segment `i` and later segment `j`, or — for
+/// `None` — no meeting, each agent's totals taken from its run truncated
+/// at the horizon (the later one's at local round `horizon - delay`).
+/// Shared by both kernels.
+fn merge_outcome(
+    earlier: &Timeline,
+    later: &Timeline,
+    delay: Round,
+    meeting: Option<(Round, usize, usize)>,
+    horizon: Round,
+) -> SimOutcome {
+    let Some((at, i, j)) = meeting else {
+        let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
+        let (later_moves, later_terminated) = later.totals_up_to(horizon - delay);
+        return SimOutcome {
+            meeting: None,
+            earlier_moves,
+            later_moves,
+            earlier_terminated,
+            later_terminated,
+            horizon,
+        };
+    };
     SimOutcome {
-        meeting: None,
-        earlier_moves,
-        later_moves,
-        earlier_terminated,
-        later_terminated,
+        meeting: Some(Meeting {
+            global_round: at,
+            later_round: at - delay,
+            node: earlier.nodes[i] as usize,
+        }),
+        earlier_moves: earlier.moves_before(i),
+        later_moves: later.moves_before(j),
+        earlier_terminated: earlier.tail_index() == Some(i),
+        later_terminated: later.tail_index() == Some(j),
         horizon,
     }
 }
@@ -697,143 +718,84 @@ pub fn merge_timelines_extend(
     out
 }
 
-/// Reusable scratch space for [`merge_timelines_deltas_with`]: the per-node
-/// occupancy cursors that replace the old per-segment binary probes.  One
-/// scratch serves any number of consecutive merges (sweeps keep one per
-/// pair group, so a pair's whole δ-grid shares it); after the first few
-/// calls it never allocates again.
-///
-/// The scratch also **batches kernel telemetry**: per-merge counter
-/// increments accumulate in plain local fields and reach the metrics
-/// registry as one `counter_add` per metric when the scratch is dropped (or
-/// via [`MergeScratch::flush_metrics`]), so enabling metrics costs the hot
-/// merge loop a handful of register additions instead of a registry
-/// transaction per STIC.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    /// Per-node cursor into the earlier timeline's occupancy arrays,
-    /// re-seeded from its CSR offsets at the start of every merge.
-    cursors: Vec<u32>,
-    /// Locally accumulated kernel counters, flushed in batch.
-    pending: PendingMergeCounters,
-}
-
-/// Locally accumulated values of the `merge.*` counters (same metric names
-/// and semantics as before; only the flush granularity changed).
-#[derive(Debug, Default)]
-struct PendingMergeCounters {
-    delta_passes: u64,
-    deltas: u64,
-    segments: u64,
-    scratch_reuse: u64,
-}
-
-impl MergeScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        MergeScratch::default()
-    }
-
-    /// Push the locally accumulated `merge.*` counters to the metrics
-    /// registry and reset them — one batched add per metric per pass
-    /// instead of several per merged STIC.  Called automatically on drop.
-    pub fn flush_metrics(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        if !anonrv_obs::enabled() {
-            return;
-        }
-        if pending.delta_passes > 0 {
-            anonrv_obs::counter_add("merge.delta_passes", pending.delta_passes);
-        }
-        if pending.deltas > 0 {
-            anonrv_obs::counter_add("merge.deltas", pending.deltas);
-        }
-        if pending.segments > 0 {
-            anonrv_obs::counter_add("merge.segments", pending.segments);
-        }
-        if pending.scratch_reuse > 0 {
-            anonrv_obs::counter_add("merge.scratch_reuse", pending.scratch_reuse);
-        }
-    }
-}
-
-impl Drop for MergeScratch {
-    fn drop(&mut self) {
-        self.flush_metrics();
-    }
-}
-
 /// Merge two cached timelines for a whole **delay sweep** of one `(u, v)`
 /// pair: one pass over the later timeline resolves every `δ` in `deltas` at
 /// once, returning outcomes in input order, each bit-identical to
-/// [`merge_timelines`] at that delay.  Allocates its scratch internally;
-/// sweeps that merge many pairs should hold a [`MergeScratch`] and call
-/// [`merge_timelines_deltas_with`].
+/// [`merge_timelines`] at that delay.  The kernel is
+/// [`merge_timelines_deltas_mapped`] under the identity map.
 pub fn merge_timelines_deltas(
     earlier: &Timeline,
     later: &Timeline,
     deltas: &[Round],
     horizon: Round,
 ) -> Vec<SimOutcome> {
-    merge_timelines_deltas_with(&mut MergeScratch::new(), earlier, later, deltas, horizon)
+    merge_timelines_deltas_mapped(earlier, later, |v| v, deltas, horizon)
 }
 
-/// [`merge_timelines_deltas`] with caller-owned scratch space.
+/// The δ-sweep kernel: [`merge_timelines_deltas`] against a
+/// **node-relabelled** later timeline, without materialising it — outcomes
+/// are bit-identical to merging `earlier` with a copy of `later` whose
+/// `nodes` array was rewritten through `map` (same `starts`, same segment
+/// structure).
 ///
 /// This is the sweep workloads' inner loop: all of a pair's delays share
 /// the occupancy lookups and the later-timeline sweep, so `k` delays cost
-/// about one merge instead of `k`.  The earlier timeline is probed through
-/// **monotone per-node cursors** (seeded from its CSR offsets, advanced
-/// only forward as the later sweep's lower bound grows), so the whole
-/// sweep is `O(segments(later) + occupancy entries touched)` with no
-/// per-segment binary search.
-pub fn merge_timelines_deltas_with(
-    scratch: &mut MergeScratch,
+/// about one merge instead of `k`.  Each later segment costs one binary
+/// probe into the earlier timeline's occupancy index (over the earlier
+/// agent's visits to that node) plus the entries it touches, so the kernel
+/// needs no per-merge setup and no scratch.
+///
+/// The map is what **streaming all-pairs planning** on vertex-transitive
+/// graphs needs: there, the walk from node `φ(0)` is the `φ`-image of the
+/// walk from node `0` (the program observes only degrees, entry ports and
+/// its clock — all `φ`-invariant), so the later agent's timeline for class
+/// `c` is exactly `timeline(0)` with nodes mapped through the group element
+/// `c`, and one recorded timeline serves *all* `n` classes immutably.
+/// Meeting nodes come from `earlier`'s segments and are therefore already
+/// true graph nodes; only the later side is viewed through `map`.
+///
+/// The kernel emits no telemetry: its callers add the `merge.*` counters
+/// once per call ([`TrajectoryCache::simulate_deltas_capped`]) or once per
+/// chunk of classes (the streamed planner).
+pub fn merge_timelines_deltas_mapped(
     earlier: &Timeline,
     later: &Timeline,
+    map: impl Fn(usize) -> usize,
     deltas: &[Round],
     horizon: Round,
 ) -> Vec<SimOutcome> {
-    // the fast path needs ascending delays; reorder through a sorted copy
-    // otherwise (sweeps pass ascending delay lists, so this never triggers
-    // on the hot path)
-    if !deltas.windows(2).all(|w| w[0] <= w[1]) {
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        order.sort_by_key(|&i| deltas[i]);
-        let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
-        let outcomes = merge_timelines_deltas_with(scratch, earlier, later, &sorted, horizon);
-        let mut out = vec![outcomes[0]; deltas.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = outcomes[k];
-        }
-        return out;
+    if deltas.is_sorted() {
+        return merge_deltas_sorted(earlier, later, &map, deltas, horizon);
     }
-
-    // accumulate locally; the scratch flushes in batch (see `MergeScratch`)
-    if anonrv_obs::enabled() {
-        scratch.pending.delta_passes += 1;
-        scratch.pending.deltas += deltas.len() as u64;
-        scratch.pending.segments += (earlier.nodes.len() + later.nodes.len()) as u64;
-        if scratch.cursors.capacity() > 0 {
-            scratch.pending.scratch_reuse += 1;
-        }
+    // the sweep needs ascending delays; reorder through a sorted copy
+    // (sweeps pass ascending delay lists, so the hot path never gets here)
+    let mut order: Vec<usize> = (0..deltas.len()).collect();
+    order.sort_by_key(|&i| deltas[i]);
+    let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
+    let outcomes = merge_deltas_sorted(earlier, later, &map, &sorted, horizon);
+    let mut out = vec![outcomes[0]; deltas.len()];
+    for (k, &i) in order.iter().enumerate() {
+        out[i] = outcomes[k];
     }
+    out
+}
 
+/// The sorted-deltas body of [`merge_timelines_deltas_mapped`].
+fn merge_deltas_sorted<F: Fn(usize) -> usize>(
+    earlier: &Timeline,
+    later: &Timeline,
+    map: &F,
+    deltas: &[Round],
+    horizon: Round,
+) -> Vec<SimOutcome> {
     let horizon1 = horizon.saturating_add(1);
     // delays beyond the horizon sit at the tail and are never swept
     let active = deltas.partition_point(|&d| d <= horizon);
-
     // per-active-delay best meeting: (meeting round, earlier seg, later seg)
     let mut best: Vec<(Round, usize, usize)> = vec![(INFINITY, 0, 0); active];
     if active > 0 {
         let delta_min = deltas[0];
         let delta_max = deltas[active - 1];
-        let n = earlier.num_graph_nodes();
-        // seed the per-node cursors at each occupancy group's start; the
-        // probe threshold `b_start + delta_min` only grows over the sweep,
-        // so every cursor advances monotonically (amortised linear)
-        scratch.cursors.clear();
-        scratch.cursors.extend_from_slice(&earlier.occ_starts[..n]);
         // the later sweep may stop once every delay's window is closed:
         // segment j is useful for delay δ only while start + δ < min(best_lo,
         // horizon + 1)
@@ -851,16 +813,12 @@ pub fn merge_timelines_deltas_with(
             if b_start >= stop {
                 break;
             }
-            let node = later.nodes[jb] as usize;
+            // the later agent parks on the image of its recorded node
+            let node = map(later.nodes[jb] as usize);
+            let s = earlier.occ_starts[node] as usize;
             let e = earlier.occ_starts[node + 1] as usize;
-            let mut c = scratch.cursors[node] as usize;
-            let threshold = b_start + delta_min;
-            while c < e && earlier.occ_end[c] <= threshold {
-                c += 1;
-            }
-            scratch.cursors[node] = c as u32;
-            if c == e {
-                continue; // the earlier agent never gets here again
+            if s == e {
+                continue; // the earlier agent never visits this node at all
             }
             let b_end = later.starts[jb + 1];
             // An earlier visit `[occ_start, occ_end)` overlaps this (parked)
@@ -872,162 +830,13 @@ pub fn merge_timelines_deltas_with(
             // being re-probed per delay.
             // delta_cap > 0: b_start <= horizon here
             let delta_cap = horizon1 - b_start;
+            // the first visit still open at b_start + delta_min (intervals
+            // per node are disjoint, so sorted by start *and* by end)
+            let k = s + earlier.occ_end[s..e].partition_point(|&end| end <= b_start + delta_min);
             // a useful entry must satisfy occ_start < b_end + δ for some
             // valid δ *and* occ_start <= horizon (a meeting round never
             // exceeds the horizon); entries are sorted by start, so the
             // first one beyond either bound ends the scan
-            let entry_stop = b_end.saturating_add(delta_max.min(delta_cap - 1)).min(horizon1);
-            let mut updated = false;
-            for k in c..e {
-                let e_start = earlier.occ_start[k];
-                if e_start >= entry_stop {
-                    break;
-                }
-                let d_lo = (e_start + 1).saturating_sub(b_end).max(delta_min);
-                // d_hi is exclusive
-                let d_hi = (earlier.occ_end[k] - b_start).min(delta_cap);
-                // the active delays inside [d_lo, d_hi) — a handful, so a
-                // linear scan beats binary search
-                for (slot, &delta) in deltas[..active].iter().enumerate() {
-                    if delta >= d_hi {
-                        break;
-                    }
-                    if delta < d_lo {
-                        continue;
-                    }
-                    let at = e_start.max(b_start + delta);
-                    if at < best[slot].0 {
-                        best[slot] = (at, earlier.occ_seg[k] as usize, jb);
-                        updated = true;
-                    }
-                }
-            }
-            if updated {
-                stop = stop_at(&best);
-            }
-        }
-    }
-
-    // assemble outcomes in input order
-    deltas
-        .iter()
-        .enumerate()
-        .map(|(slot, &delta)| {
-            if slot >= active {
-                // the later agent never even appears within the horizon
-                return SimOutcome::no_show(horizon);
-            }
-            let (at, si, jb) = best[slot];
-            if at < INFINITY {
-                SimOutcome {
-                    meeting: Some(Meeting {
-                        global_round: at,
-                        later_round: at - delta,
-                        node: earlier.nodes[si] as usize,
-                    }),
-                    earlier_moves: earlier.moves_before(si),
-                    later_moves: later.moves_before(jb),
-                    earlier_terminated: earlier.tail_index() == Some(si),
-                    later_terminated: later.tail_index() == Some(jb),
-                    horizon,
-                }
-            } else {
-                let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-                let (later_moves, later_terminated) = later.totals_up_to(horizon - delta);
-                SimOutcome {
-                    meeting: None,
-                    earlier_moves,
-                    later_moves,
-                    earlier_terminated,
-                    later_terminated,
-                    horizon,
-                }
-            }
-        })
-        .collect()
-}
-
-/// [`merge_timelines_deltas`] against a **node-relabelled** later timeline,
-/// without materialising it: outcomes are bit-identical to merging
-/// `earlier` with a copy of `later` whose `nodes` array was rewritten
-/// through `map` (same `starts`, same segment structure).
-///
-/// This is the inner loop of **streaming all-pairs planning** on
-/// vertex-transitive graphs: there, the walk from node `φ(0)` is the
-/// `φ`-image of the walk from node `0` (the program observes only degrees,
-/// entry ports and its clock — all `φ`-invariant), so the later agent's
-/// timeline for class `c` is exactly `timeline(0)` with nodes mapped
-/// through the group element `c`.  One recorded timeline serves *all* `n`
-/// classes, and a million class merges share it immutably with **zero
-/// per-merge setup**: the kernel is deliberately scratch-free (a binary
-/// probe into the earlier occupancy index per later segment, exactly the
-/// retained reference kernel's strategy) because re-seeding per-node
-/// cursors would cost `O(n)` per class — fatal at `n = 2^20` classes.
-///
-/// Meeting nodes come from `earlier`'s segments and are therefore already
-/// true graph nodes; only the later side is viewed through `map`.  The
-/// kernel emits no per-call telemetry — streaming drivers report per-pass
-/// aggregates instead.
-pub fn merge_timelines_deltas_mapped(
-    earlier: &Timeline,
-    later: &Timeline,
-    map: impl Fn(usize) -> usize,
-    deltas: &[Round],
-    horizon: Round,
-) -> Vec<SimOutcome> {
-    if !deltas.windows(2).all(|w| w[0] <= w[1]) {
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        order.sort_by_key(|&i| deltas[i]);
-        let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
-        let outcomes = merge_deltas_mapped_sorted(earlier, later, &map, &sorted, horizon);
-        let mut out = vec![outcomes[0]; deltas.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = outcomes[k];
-        }
-        return out;
-    }
-    merge_deltas_mapped_sorted(earlier, later, &map, deltas, horizon)
-}
-
-/// The sorted-deltas body of [`merge_timelines_deltas_mapped`].
-fn merge_deltas_mapped_sorted<F: Fn(usize) -> usize>(
-    earlier: &Timeline,
-    later: &Timeline,
-    map: &F,
-    deltas: &[Round],
-    horizon: Round,
-) -> Vec<SimOutcome> {
-    let horizon1 = horizon.saturating_add(1);
-    let active = deltas.partition_point(|&d| d <= horizon);
-    let mut best: Vec<(Round, usize, usize)> = vec![(INFINITY, 0, 0); active];
-    if active > 0 {
-        let delta_min = deltas[0];
-        let delta_max = deltas[active - 1];
-        let stop_at = |best: &[(Round, usize, usize)]| -> Round {
-            deltas[..active]
-                .iter()
-                .zip(best)
-                .map(|(&d, &(lo, ..))| lo.min(horizon1).saturating_sub(d))
-                .max()
-                .expect("active is non-zero")
-        };
-        let mut stop = stop_at(&best);
-        for jb in 0..later.nodes.len() {
-            let b_start = later.starts[jb];
-            if b_start >= stop {
-                break;
-            }
-            // the only divergence from the unmapped kernels: the later
-            // agent parks on the *image* of its recorded node
-            let node = map(later.nodes[jb] as usize);
-            let s = earlier.occ_starts[node] as usize;
-            let e = earlier.occ_starts[node + 1] as usize;
-            if s == e {
-                continue; // the earlier agent never visits this node at all
-            }
-            let b_end = later.starts[jb + 1];
-            let delta_cap = horizon1 - b_start;
-            let k = s + earlier.occ_end[s..e].partition_point(|&end| end <= b_start + delta_min);
             let entry_stop = b_end.saturating_add(delta_max.min(delta_cap - 1)).min(horizon1);
             let mut updated = false;
             for kk in k..e {
@@ -1036,7 +845,10 @@ fn merge_deltas_mapped_sorted<F: Fn(usize) -> usize>(
                     break;
                 }
                 let d_lo = (e_start + 1).saturating_sub(b_end).max(delta_min);
+                // d_hi is exclusive
                 let d_hi = (earlier.occ_end[kk] - b_start).min(delta_cap);
+                // the active delays inside [d_lo, d_hi) — a handful, so a
+                // linear scan beats binary search
                 for (slot, &delta) in deltas[..active].iter().enumerate() {
                     if delta >= d_hi {
                         break;
@@ -1057,39 +869,20 @@ fn merge_deltas_mapped_sorted<F: Fn(usize) -> usize>(
         }
     }
 
+    // assemble outcomes in input order
     deltas
         .iter()
         .enumerate()
-        .map(|(slot, &delta)| {
-            if slot >= active {
-                return SimOutcome::no_show(horizon);
-            }
-            let (at, si, jb) = best[slot];
-            if at < INFINITY {
-                SimOutcome {
-                    meeting: Some(Meeting {
-                        global_round: at,
-                        later_round: at - delta,
-                        node: earlier.nodes[si] as usize,
-                    }),
-                    earlier_moves: earlier.moves_before(si),
-                    later_moves: later.moves_before(jb),
-                    earlier_terminated: earlier.tail_index() == Some(si),
-                    later_terminated: later.tail_index() == Some(jb),
-                    horizon,
-                }
-            } else {
-                let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-                let (later_moves, later_terminated) = later.totals_up_to(horizon - delta);
-                SimOutcome {
-                    meeting: None,
-                    earlier_moves,
-                    later_moves,
-                    earlier_terminated,
-                    later_terminated,
-                    horizon,
-                }
-            }
+        .map(|(slot, &delta)| match best.get(slot) {
+            // the later agent never even appears within the horizon
+            None => SimOutcome::no_show(horizon),
+            Some(&(at, si, jb)) => merge_outcome(
+                earlier,
+                later,
+                delta,
+                (at < INFINITY).then_some((at, si, jb)),
+                horizon,
+            ),
         })
         .collect()
 }
@@ -1165,124 +958,6 @@ pub fn merge_timelines_reference(
             }
         }
     }
-}
-
-/// The retained pre-kernel [`merge_timelines_deltas`]: identical δ-interval
-/// arithmetic, but every later segment re-probes the occupancy index with a
-/// binary search instead of the monotone cursors.  Reference oracle for the
-/// differential suites (`ref-oracle` feature, always on under `cfg(test)`).
-#[cfg(any(test, feature = "ref-oracle"))]
-pub fn merge_timelines_deltas_reference(
-    earlier: &Timeline,
-    later: &Timeline,
-    deltas: &[Round],
-    horizon: Round,
-) -> Vec<SimOutcome> {
-    if !deltas.windows(2).all(|w| w[0] <= w[1]) {
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        order.sort_by_key(|&i| deltas[i]);
-        let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
-        let outcomes = merge_timelines_deltas_reference(earlier, later, &sorted, horizon);
-        let mut out = vec![outcomes[0]; deltas.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = outcomes[k];
-        }
-        return out;
-    }
-
-    let horizon1 = horizon.saturating_add(1);
-    let active = deltas.partition_point(|&d| d <= horizon);
-    let mut best: Vec<(Round, usize, usize)> = vec![(INFINITY, 0, 0); active];
-    if active > 0 {
-        let delta_min = deltas[0];
-        let delta_max = deltas[active - 1];
-        let stop_at = |best: &[(Round, usize, usize)]| -> Round {
-            deltas[..active]
-                .iter()
-                .zip(best)
-                .map(|(&d, &(lo, ..))| lo.min(horizon1).saturating_sub(d))
-                .max()
-                .expect("active is non-zero")
-        };
-        let mut stop = stop_at(&best);
-        for jb in 0..later.nodes.len() {
-            let b_start = later.starts[jb];
-            if b_start >= stop {
-                break;
-            }
-            let node = later.nodes[jb] as usize;
-            let s = earlier.occ_starts[node] as usize;
-            let e = earlier.occ_starts[node + 1] as usize;
-            if s == e {
-                continue; // the earlier agent never visits this node at all
-            }
-            let b_end = later.starts[jb + 1];
-            let delta_cap = horizon1 - b_start;
-            let k = s + earlier.occ_end[s..e].partition_point(|&end| end <= b_start + delta_min);
-            let entry_stop = b_end.saturating_add(delta_max.min(delta_cap - 1)).min(horizon1);
-            let mut updated = false;
-            for kk in k..e {
-                let e_start = earlier.occ_start[kk];
-                if e_start >= entry_stop {
-                    break;
-                }
-                let d_lo = (e_start + 1).saturating_sub(b_end).max(delta_min);
-                let d_hi = (earlier.occ_end[kk] - b_start).min(delta_cap);
-                for (slot, &delta) in deltas[..active].iter().enumerate() {
-                    if delta >= d_hi {
-                        break;
-                    }
-                    if delta < d_lo {
-                        continue;
-                    }
-                    let at = e_start.max(b_start + delta);
-                    if at < best[slot].0 {
-                        best[slot] = (at, earlier.occ_seg[kk] as usize, jb);
-                        updated = true;
-                    }
-                }
-            }
-            if updated {
-                stop = stop_at(&best);
-            }
-        }
-    }
-
-    deltas
-        .iter()
-        .enumerate()
-        .map(|(slot, &delta)| {
-            if slot >= active {
-                return SimOutcome::no_show(horizon);
-            }
-            let (at, si, jb) = best[slot];
-            if at < INFINITY {
-                SimOutcome {
-                    meeting: Some(Meeting {
-                        global_round: at,
-                        later_round: at - delta,
-                        node: earlier.nodes[si] as usize,
-                    }),
-                    earlier_moves: earlier.moves_before(si),
-                    later_moves: later.moves_before(jb),
-                    earlier_terminated: earlier.tail_index() == Some(si),
-                    later_terminated: later.tail_index() == Some(jb),
-                    horizon,
-                }
-            } else {
-                let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-                let (later_moves, later_terminated) = later.totals_up_to(horizon - delta);
-                SimOutcome {
-                    meeting: None,
-                    earlier_moves,
-                    later_moves,
-                    earlier_terminated,
-                    later_terminated,
-                    horizon,
-                }
-            }
-        })
-        .collect()
 }
 
 /// Per-`(graph, program, horizon)` store of start-node timelines, computed
@@ -1539,22 +1214,12 @@ impl<'a> TrajectoryCache<'a> {
     /// [`TrajectoryCache::simulate_deltas`] at `horizon <= self.horizon()`
     /// (exact for any smaller horizon because truncated runs are prefixes);
     /// outcome `i` is bit-identical to
-    /// `simulate_capped(&Stic::new(u, v, deltas[i]), horizon)`.
+    /// `simulate_capped(&Stic::new(u, v, deltas[i]), horizon)`.  A pass
+    /// through the δ-sweep kernel adds one to `merge.delta_passes`, the
+    /// grid size to `merge.deltas` and both timelines' segment counts to
+    /// `merge.segments`.
     pub fn simulate_deltas_capped(
         &self,
-        u: NodeId,
-        v: NodeId,
-        deltas: &[Round],
-        horizon: Round,
-    ) -> Vec<SimOutcome> {
-        self.simulate_deltas_capped_with(&mut MergeScratch::new(), u, v, deltas, horizon)
-    }
-
-    /// [`TrajectoryCache::simulate_deltas_capped`] with caller-owned scratch
-    /// space (rayon sweeps keep one [`MergeScratch`] per worker thread).
-    pub fn simulate_deltas_capped_with(
-        &self,
-        scratch: &mut MergeScratch,
         u: NodeId,
         v: NodeId,
         deltas: &[Round],
@@ -1580,7 +1245,15 @@ impl<'a> TrajectoryCache<'a> {
                 return outcomes;
             }
         }
-        merge_timelines_deltas_with(scratch, self.timeline(u), self.timeline(v), deltas, horizon)
+        let (earlier, later) = (self.timeline(u), self.timeline(v));
+        if anonrv_obs::enabled() {
+            anonrv_obs::counter_add("merge.delta_passes", 1);
+            anonrv_obs::counter_add("merge.deltas", deltas.len() as u64);
+            // upper bound: the pass visits at most every segment of both
+            let segments = earlier.nodes.len() + later.nodes.len();
+            anonrv_obs::counter_add("merge.segments", segments as u64);
+        }
+        merge_timelines_deltas(earlier, later, deltas, horizon)
     }
 }
 
@@ -1658,22 +1331,9 @@ impl<'a> SweepEngine<'a> {
         deltas: &[Round],
         horizon: Round,
     ) -> Vec<SimOutcome> {
-        self.simulate_deltas_capped_with(&mut MergeScratch::new(), u, v, deltas, horizon)
-    }
-
-    /// [`SweepEngine::simulate_deltas_capped`] with caller-owned scratch
-    /// space (ignored by the pinned per-call modes).
-    pub fn simulate_deltas_capped_with(
-        &self,
-        scratch: &mut MergeScratch,
-        u: NodeId,
-        v: NodeId,
-        deltas: &[Round],
-        horizon: Round,
-    ) -> Vec<SimOutcome> {
         match self.config.mode {
             EngineMode::Auto | EngineMode::Batch => {
-                self.cache.simulate_deltas_capped_with(scratch, u, v, deltas, horizon)
+                self.cache.simulate_deltas_capped(u, v, deltas, horizon)
             }
             EngineMode::Streaming | EngineMode::Lockstep => deltas
                 .iter()
@@ -1970,7 +1630,6 @@ mod tests {
         for lifetime in [None, Some(9)] {
             let program = ScriptedStepper { lifetime };
             let t0 = Timeline::record(&g, &program, 0, horizon);
-            let mut scratch = MergeScratch::new();
             for c in 0..g.num_nodes() {
                 let streamed =
                     merge_timelines_deltas_mapped(&t0, &t0, |v| group.apply(c, v), deltas, horizon);
@@ -1983,16 +1642,10 @@ mod tests {
                     })
                     .collect();
                 let mapped = Timeline::from_segments(g.num_nodes(), horizon, segs).unwrap();
-                assert_eq!(
-                    streamed,
-                    merge_timelines_deltas_with(&mut scratch, &t0, &mapped, deltas, horizon)
-                );
+                assert_eq!(streamed, merge_timelines_deltas(&t0, &mapped, deltas, horizon));
                 // (b) the walk actually recorded from node c
                 let tc = Timeline::record(&g, &program, c, horizon);
-                assert_eq!(
-                    streamed,
-                    merge_timelines_deltas_with(&mut scratch, &t0, &tc, deltas, horizon)
-                );
+                assert_eq!(streamed, merge_timelines_deltas(&t0, &tc, deltas, horizon));
                 // (c) STIC by STIC against the single-delay kernel
                 for (slot, &delta) in deltas.iter().enumerate() {
                     let stic = Stic::new(0, c, delta);
@@ -2160,24 +1813,19 @@ mod tests {
                             );
                         }
                     }
+                    // the δ-sweep kernel, slot by slot, against the
+                    // reference's independent per-STIC probes
                     let deltas: Vec<Round> = vec![0, 2, 5, 11, horizon + 1];
-                    let mut scratch = MergeScratch::new();
-                    assert_eq!(
-                        merge_timelines_deltas_with(
-                            &mut scratch,
-                            &timelines[u],
-                            &timelines[v],
-                            &deltas,
-                            horizon
-                        ),
-                        merge_timelines_deltas_reference(
-                            &timelines[u],
-                            &timelines[v],
-                            &deltas,
-                            horizon
-                        ),
-                        "delta kernel vs reference on ({u}, {v})"
-                    );
+                    let swept =
+                        merge_timelines_deltas(&timelines[u], &timelines[v], &deltas, horizon);
+                    for (slot, &delta) in deltas.iter().enumerate() {
+                        let stic = Stic::new(u, v, delta);
+                        assert_eq!(
+                            swept[slot],
+                            merge_timelines_reference(&timelines[u], &timelines[v], &stic, horizon),
+                            "delta kernel vs reference on {stic}"
+                        );
+                    }
                 }
             }
         }

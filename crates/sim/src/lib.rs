@@ -70,13 +70,12 @@ pub mod symbolic;
 pub mod trace;
 pub mod workload;
 
-pub use batch::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped,
-    merge_timelines_deltas_with, merge_timelines_extend, simulate_batch, MergeScratch, SweepEngine,
-    Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
-};
 #[cfg(feature = "ref-oracle")]
-pub use batch::{merge_timelines_deltas_reference, merge_timelines_reference};
+pub use batch::merge_timelines_reference;
+pub use batch::{
+    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped, merge_timelines_extend,
+    simulate_batch, SweepEngine, Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
+};
 pub use engine::{simulate, simulate_with, EngineConfig, EngineMode, Meeting, SimOutcome};
 pub use navigator::{
     drive_finite_state, AgentProgram, Event, EventSink, FiniteStateProgram, GraphNavigator,

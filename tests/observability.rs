@@ -2,8 +2,9 @@
 //! hammering from rayon and supervisor-style threads (exact counts, no
 //! torn histograms), a JSONL trace round-trip through a real supervised
 //! sweep (every line parses, schema-versioned, span nesting well-formed),
-//! and a fault-injected supervised run whose retry events and failpoint
-//! trips match the injected failures record for record.
+//! a fault-injected supervised run whose retry events and failpoint
+//! trips match the injected failures record for record, and exact
+//! `merge.*` δ-sweep counters on the materialised and the streamed sweep.
 //!
 //! Every test installs its own pipeline via [`anonrv::obs::install`]; the
 //! guard serializes installs, so the per-test metrics and sinks cannot
@@ -13,7 +14,7 @@ use anonrv::graph::generators::oriented_torus;
 use anonrv::obs::{self, MemorySink, ObsConfig};
 use anonrv::plan::SweepPlan;
 use anonrv::sim::{EngineConfig, Round, SweepWalker};
-use anonrv::store::{fault, Store, SuperviseConfig, SweepSession};
+use anonrv::store::{fault, table_fingerprint, Store, SuperviseConfig, SweepSession};
 use rayon::prelude::*;
 
 const KEY: &str = "obs-walker-5eed";
@@ -200,4 +201,47 @@ fn injected_faults_surface_as_matching_retry_rows_trips_and_events() {
         .map(|r| (r.shard as u64, r.attempt as u64, r.outcome().to_string()))
         .collect();
     assert_eq!(events, rows, "trace events and report rows diverged");
+}
+
+#[test]
+fn streamed_and_materialised_sweeps_count_one_delta_pass_per_class() {
+    let g = oriented_torus(8, 8).unwrap();
+    let program = SweepWalker { seed: 0x5EED };
+    let deltas: Vec<Round> = vec![0, 1, 2, 3];
+    let config = EngineConfig::batch(HORIZON);
+
+    // the materialised table: one δ-sweep pass per representative class
+    let (table_fp, classes, t0_segments, materialised) = {
+        let _g = obs::install(ObsConfig::metrics_only()).unwrap();
+        let mut session = SweepSession::in_memory(&g, &program, config);
+        let plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), HORIZON);
+        let (outcomes, _) = session.run_plan(&plan).unwrap();
+        let t0_segments = session.engine().cache().timeline(0).num_segments();
+        (
+            table_fingerprint(outcomes.table()),
+            plan.orbits().num_pair_classes(),
+            t0_segments,
+            obs::snapshot(),
+        )
+    };
+    // the streamed sweep of the same plan, in several chunks, counted once
+    // per chunk
+    let (streamed_fp, streamed) = {
+        let _g = obs::install(ObsConfig::metrics_only()).unwrap();
+        let mut session = SweepSession::in_memory(&g, &program, config);
+        let plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), HORIZON);
+        let summary = session.run_streamed(&plan, 10).unwrap();
+        assert_eq!(summary.classes, classes);
+        (summary.fingerprint, obs::snapshot())
+    };
+    assert_eq!(streamed_fp, table_fp, "the two routes ran the same sweep");
+    assert_eq!(classes, 64, "torus:8x8 has one pair class per group element");
+
+    for (route, snap) in [("materialised", &materialised), ("streamed", &streamed)] {
+        assert_eq!(snap.counter("merge.delta_passes"), classes as u64, "{route}");
+        assert_eq!(snap.counter("merge.deltas"), (classes * deltas.len()) as u64, "{route}");
+        // every start node's walk is an image of node 0's, so every pass
+        // covers 2·|timeline(0)| segments
+        assert_eq!(snap.counter("merge.segments"), (classes * 2 * t0_segments) as u64, "{route}");
+    }
 }

@@ -1,27 +1,29 @@
 //! Differential property tests of the **timeline-merge kernels**: the
-//! branch-light sort-merge ([`merge_timelines`]), the shared-pass delay
-//! sweep ([`merge_timelines_deltas_with`]) and the resumable extension
+//! branch-light sort-merge ([`merge_timelines`]), the shared-pass δ-sweep
+//! kernel ([`merge_timelines_deltas`]) and the resumable extension
 //! ([`merge_timelines_extend`]) are each pinned bit-identical to
 //!
-//! * the retained pre-kernel **reference oracles** (binary-probe
-//!   implementations kept under the `ref-oracle` feature), and
+//! * the retained pre-kernel **reference oracle**
+//!   (`merge_timelines_reference`, a binary-probe single-STIC merge kept
+//!   under the `ref-oracle` feature), and
 //! * the **Lockstep and Streaming engines**, which never touch timelines
 //!   at all.
 //!
+//! The δ-sweep kernel has no sweep-shaped oracle of its own: every slot is
+//! pinned against the per-STIC merges and both engines at its delay.
 //! Everything the warm store serves flows through these kernels, so these
 //! differentials are what lets the zero-copy paths claim exactness.
 //!
 //! [`merge_timelines`]: anonrv::sim::merge_timelines
-//! [`merge_timelines_deltas_with`]: anonrv::sim::merge_timelines_deltas_with
+//! [`merge_timelines_deltas`]: anonrv::sim::merge_timelines_deltas
 //! [`merge_timelines_extend`]: anonrv::sim::merge_timelines_extend
 
 use proptest::prelude::*;
 
 use anonrv::graph::generators::{oriented_ring, random_connected};
 use anonrv::sim::{
-    merge_timelines, merge_timelines_deltas_reference, merge_timelines_deltas_with,
-    merge_timelines_extend, merge_timelines_reference, simulate_with, AgentProgram, EngineConfig,
-    MergeScratch, Navigator, Round, Stic, Stop, Timeline,
+    merge_timelines, merge_timelines_deltas, merge_timelines_extend, merge_timelines_reference,
+    simulate_with, AgentProgram, EngineConfig, Navigator, Round, Stic, Stop, Timeline,
 };
 
 /// Deterministic scripted agent (same idiom as the engine property tests):
@@ -91,35 +93,49 @@ proptest! {
         }
     }
 
-    /// The shared-pass delay sweep against the reference sweep oracle and
-    /// against one independent kernel merge per delay — including unsorted,
-    /// duplicated and beyond-horizon delays, with one scratch reused across
-    /// every case (the sweep sessions' usage pattern).
+    /// The shared-pass δ-sweep kernel, slot by slot, against the sort-merge
+    /// kernel, the binary-probe reference oracle and both timeline-free
+    /// engines at that slot's delay — on rings and random connected graphs,
+    /// with unsorted, duplicated and beyond-horizon delays.
     #[test]
     fn delta_sweep_matches_reference_and_per_delay_merges(
-        ring in 3usize..9,
+        n in 3usize..10,
+        ring_sel in 0u8..2,
+        extra in 0usize..5,
+        graph_seed in 0u64..200,
         walker_seed in 0u64..1_000,
         lifetime_sel in 0u64..60,
         horizon in 0u64..160,
+        u_sel in 0usize..10,
+        v_sel in 0usize..10,
         raw_deltas in proptest::collection::vec(0u64..180, 0..12),
     ) {
-        let g = oriented_ring(ring).expect("valid ring");
+        let g = if ring_sel == 0 {
+            oriented_ring(n).expect("valid ring")
+        } else {
+            let extra = extra.min(n * (n - 1) / 2 - (n - 1));
+            random_connected(n, extra, graph_seed).expect("valid generator parameters")
+        };
         let lifetime = (lifetime_sel < 30).then_some(lifetime_sel + 1);
         let program = ScriptedWalker { seed: walker_seed, lifetime };
         let horizon = horizon as Round;
         let deltas: Vec<Round> = raw_deltas.iter().map(|&d| d as Round).collect();
+        let (u, v) = (u_sel % n, v_sel % n);
 
-        let earlier = Timeline::record(&g, &program, 0, horizon);
-        let later = Timeline::record(&g, &program, 1 % ring, horizon);
-        let mut scratch = MergeScratch::new();
-        let swept = merge_timelines_deltas_with(&mut scratch, &earlier, &later, &deltas, horizon);
-
-        let oracle = merge_timelines_deltas_reference(&earlier, &later, &deltas, horizon);
-        prop_assert_eq!(&swept, &oracle, "sweep vs reference");
+        let earlier = Timeline::record(&g, &program, u, horizon);
+        let later = Timeline::record(&g, &program, v, horizon);
+        let swept = merge_timelines_deltas(&earlier, &later, &deltas, horizon);
+        prop_assert_eq!(swept.len(), deltas.len());
         for (i, &delta) in deltas.iter().enumerate() {
-            let stic = Stic::new(0, 1 % ring, delta);
+            let stic = Stic::new(u, v, delta);
             let single = merge_timelines(&earlier, &later, &stic, horizon);
-            prop_assert_eq!(swept[i], single, "{} sweep slot vs independent merge", stic);
+            prop_assert_eq!(swept[i], single, "{} sweep slot vs sort-merge", stic);
+            let oracle = merge_timelines_reference(&earlier, &later, &stic, horizon);
+            prop_assert_eq!(swept[i], oracle, "{} sweep slot vs reference", stic);
+            for config in [EngineConfig::lockstep(horizon), EngineConfig::streaming(horizon)] {
+                let direct = simulate_with(&g, &program, &program, &stic, config);
+                prop_assert_eq!(swept[i], direct, "{} sweep slot vs engine", stic);
+            }
         }
     }
 
