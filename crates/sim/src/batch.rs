@@ -15,7 +15,9 @@
 //!
 //! * [`TrajectoryCache`] — per `(graph, program, horizon)` store of lazily
 //!   recorded [`Timeline`]s, one per start node, thread-safe (`OnceLock`
-//!   slots) so rayon sweeps can fan out over merges directly;
+//!   slots) so rayon sweeps can fan out over merges directly; the slots are
+//!   paged and a page is allocated on its first write, so a cache's memory
+//!   is O(touched pages), not O(n);
 //! * [`merge_timelines`] — meeting detection over two cached timelines as a
 //!   branch-light **two-cursor sort-merge** over the flat `starts`/`nodes`
 //!   arrays: the intersection windows of the two segment sequences are
@@ -960,19 +962,72 @@ pub fn merge_timelines_reference(
     }
 }
 
+/// Nodes per page of a [`PagedSlots`] store.
+const PAGE: usize = 1024;
+
+/// One write-once slot per node of an `n`-node graph, allocated a page of
+/// [`PAGE`] slots at a time on first write: a session that touches a few
+/// start nodes of a million-node graph holds a few pages, not `n` empty
+/// slots.  The last page holds only the `n mod PAGE` real nodes.  Reads
+/// never allocate; writes allocate their page through `get_or_init`, so
+/// concurrent first touches of one page need no lock.
+struct PagedSlots<T> {
+    n: usize,
+    pages: Box<[OnceLock<Page<T>>]>,
+}
+
+/// The slots of [`PAGE`] consecutive nodes (fewer on the last page).
+type Page<T> = Box<[OnceLock<T>]>;
+
+impl<T> PagedSlots<T> {
+    fn new(n: usize) -> Self {
+        PagedSlots { n, pages: (0..n.div_ceil(PAGE)).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// The value held for `u`, without allocating; panics when `u >= n`.
+    fn get(&self, u: NodeId) -> Option<&T> {
+        assert!(u < self.n, "start node out of range");
+        self.pages[u / PAGE].get()?[u % PAGE].get()
+    }
+
+    /// The slot of `u`, allocating its page on first touch; panics when
+    /// `u >= n`.
+    fn slot(&self, u: NodeId) -> &OnceLock<T> {
+        assert!(u < self.n, "start node out of range");
+        let first = u - u % PAGE;
+        let page = self.pages[u / PAGE]
+            .get_or_init(|| (first..self.n.min(first + PAGE)).map(|_| OnceLock::new()).collect());
+        &page[u % PAGE]
+    }
+
+    /// Every held `(node, value)` pair in ascending node order, visiting
+    /// only resident pages.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(p, page)| Some((p * PAGE, page.get()?)))
+            .flat_map(|(first, page)| {
+                page.iter().enumerate().filter_map(move |(i, s)| Some((first + i, s.get()?)))
+            })
+    }
+}
+
 /// Per-`(graph, program, horizon)` store of start-node timelines, computed
 /// lazily (at most once per node) and shared across threads: `timeline`
 /// takes `&self`, so a rayon sweep can fan out over
-/// [`TrajectoryCache::simulate`] calls directly.
+/// [`TrajectoryCache::simulate`] calls directly.  Slots are paged and
+/// allocated on first write, so a cache holds memory for the pages of
+/// nodes it has touched, not for all `n` nodes.
 pub struct TrajectoryCache<'a> {
     graph: &'a PortGraph,
     program: &'a dyn AgentProgram,
     horizon: Round,
-    slots: Vec<OnceLock<Timeline>>,
+    slots: PagedSlots<Timeline>,
     /// Per-start symbolic (prefix + cycle) timelines, detected lazily for
     /// finite-state programs; `Some(None)` caches a failed detection so the
     /// budgeted search runs at most once per start.
-    symbolic: Vec<OnceLock<Option<SymbolicTimeline>>>,
+    symbolic: PagedSlots<Option<SymbolicTimeline>>,
 }
 
 /// Largest horizon the batch engine resolves by explicit unrolling.  Queries
@@ -986,8 +1041,8 @@ pub const UNROLL_CAP: Round = 1 << 22;
 impl<'a> TrajectoryCache<'a> {
     /// Create an empty cache; no trajectory is computed until queried.
     pub fn new(graph: &'a PortGraph, program: &'a dyn AgentProgram, horizon: Round) -> Self {
-        let slots = (0..graph.num_nodes()).map(|_| OnceLock::new()).collect();
-        let symbolic = (0..graph.num_nodes()).map(|_| OnceLock::new()).collect();
+        let (slots, symbolic) =
+            (PagedSlots::new(graph.num_nodes()), PagedSlots::new(graph.num_nodes()));
         TrajectoryCache { graph, program, horizon, slots, symbolic }
     }
 
@@ -1014,7 +1069,7 @@ impl<'a> TrajectoryCache<'a> {
     /// point: a store warming thousands of symbolic entries pays nothing
     /// here until a node's explicit path is actually queried.
     pub fn timeline(&self, start: NodeId) -> &Timeline {
-        self.slots[start].get_or_init(|| match self.get_symbolic(start) {
+        self.slots.slot(start).get_or_init(|| match self.get_symbolic(start) {
             Some(s) => s.materialize(self.horizon),
             None => Timeline::record(self.graph, self.program, start, self.horizon),
         })
@@ -1022,24 +1077,24 @@ impl<'a> TrajectoryCache<'a> {
 
     /// Number of start nodes whose timeline has been recorded so far.
     pub fn computed(&self) -> usize {
-        self.slots.iter().filter(|s| s.get().is_some()).count()
+        self.slots.iter().count()
     }
 
     /// The already-recorded timeline of `start`, without recording one.
     pub fn get(&self, start: NodeId) -> Option<&Timeline> {
-        self.slots[start].get()
+        self.slots.get(start)
     }
 
     /// Every recorded `(start node, timeline)` pair, in node order — what a
     /// persistent store serialises after a sweep.
     pub fn computed_timelines(&self) -> impl Iterator<Item = (NodeId, &Timeline)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(u, slot)| slot.get().map(|t| (u, t)))
+        self.slots.iter()
     }
 
     /// `true` when `start` already holds an explicit timeline (recorded or
     /// preloaded), without recording one.
     pub fn has_timeline(&self, start: NodeId) -> bool {
-        self.slots[start].get().is_some()
+        self.slots.get(start).is_some()
     }
 
     /// Install a previously recorded timeline for `start` (a warm persistent
@@ -1058,7 +1113,7 @@ impl<'a> TrajectoryCache<'a> {
         {
             return false;
         }
-        self.slots[start].set(timeline).is_ok()
+        self.slots.slot(start).set(timeline).is_ok()
     }
 
     /// Record every start node's timeline (sequentially; parallel callers
@@ -1077,19 +1132,19 @@ impl<'a> TrajectoryCache<'a> {
     pub fn symbolic_timeline(&self, start: NodeId) -> Option<&SymbolicTimeline> {
         assert!(start < self.graph.num_nodes(), "start node out of range");
         let fs = self.program.finite_state()?;
-        self.symbolic[start].get_or_init(|| detect_symbolic(self.graph, fs, start)).as_ref()
+        self.symbolic.slot(start).get_or_init(|| detect_symbolic(self.graph, fs, start)).as_ref()
     }
 
     /// The already-detected symbolic timeline of `start`, without running a
     /// detection.
     pub fn get_symbolic(&self, start: NodeId) -> Option<&SymbolicTimeline> {
-        self.symbolic[start].get().and_then(|s| s.as_ref())
+        self.symbolic.get(start).and_then(|s| s.as_ref())
     }
 
     /// Number of start nodes holding a symbolic timeline (detected or
     /// preloaded) so far.
     pub fn computed_symbolic(&self) -> usize {
-        self.symbolic.iter().filter(|s| s.get().is_some_and(|o| o.is_some())).count()
+        self.computed_symbolic_timelines().count()
     }
 
     /// Every held `(start node, symbolic timeline)` pair, in node order —
@@ -1097,10 +1152,7 @@ impl<'a> TrajectoryCache<'a> {
     pub fn computed_symbolic_timelines(
         &self,
     ) -> impl Iterator<Item = (NodeId, &SymbolicTimeline)> + '_ {
-        self.symbolic
-            .iter()
-            .enumerate()
-            .filter_map(|(u, slot)| slot.get().and_then(|o| o.as_ref()).map(|s| (u, s)))
+        self.symbolic.iter().filter_map(|(u, o)| o.as_ref().map(|s| (u, s)))
     }
 
     /// Install a previously detected symbolic timeline for `start` (a warm
@@ -1113,7 +1165,7 @@ impl<'a> TrajectoryCache<'a> {
         if start >= self.graph.num_nodes() || symbolic.num_graph_nodes() != self.graph.num_nodes() {
             return false;
         }
-        self.symbolic[start].set(Some(symbolic)).is_ok()
+        self.symbolic.slot(start).set(Some(symbolic)).is_ok()
     }
 
     /// Resolve one STIC through the symbolic path at an arbitrary `horizon`
@@ -1389,7 +1441,7 @@ pub(crate) fn simulate_batch_with(
 mod tests {
     use super::*;
     use crate::engine::simulate;
-    use crate::navigator::Navigator;
+    use crate::navigator::{Navigator, StepAction, StepDecision};
     use anonrv_graph::generators::{oriented_ring, oriented_torus, two_node_graph};
 
     fn mover() -> impl AgentProgram {
@@ -2024,5 +2076,181 @@ mod tests {
         }
         // both kinds of run end occur: the `INFINITY` tail and the horizon cut
         assert!(terminated > 0 && cut > 0, "{terminated} terminated, {cut} cut");
+    }
+
+    /// Number of allocated pages of a slot store.
+    fn resident<T>(slots: &PagedSlots<T>) -> usize {
+        slots.pages.iter().filter(|p| p.get().is_some()).count()
+    }
+
+    #[test]
+    fn concurrent_reverse_order_recording_iterates_in_node_order() {
+        let n = 2 * PAGE + 3;
+        let g = oriented_ring(n).unwrap();
+        let program = crate::workload::SweepWalker { seed: 7 };
+        let cache = TrajectoryCache::new(&g, &program, 40);
+        // two threads interleave on every page, so first touches race
+        std::thread::scope(|s| {
+            for parity in 0..2 {
+                let cache = &cache;
+                s.spawn(move || {
+                    (0..n).rev().filter(|u| u % 2 == parity).for_each(|u| {
+                        cache.timeline(u);
+                    })
+                });
+            }
+        });
+        assert_eq!(cache.computed(), n);
+        let order: Vec<NodeId> = cache.computed_timelines().map(|(u, _)| u).collect();
+        assert_eq!(order, (0..n).collect::<Vec<_>>());
+        for (u, t) in cache.computed_timelines() {
+            assert_eq!(*t, Timeline::record(&g, &program, u, 40), "start {u}");
+        }
+        assert_eq!(cache.slots.pages.len(), 3);
+        let last = cache.slots.pages[2].get().expect("the last page is resident");
+        assert_eq!(last.len(), 3, "the last page holds only the real nodes");
+        assert_eq!(resident(&cache.symbolic), 0, "recording never writes a symbolic slot");
+    }
+
+    #[test]
+    fn one_recording_allocates_one_explicit_page_and_no_symbolic_page() {
+        let g = oriented_torus(256, 256).unwrap();
+        let program = crate::workload::SweepWalker { seed: 0x5EED };
+        let cache = TrajectoryCache::new(&g, &program, 64);
+        assert_eq!(cache.slots.pages.len(), g.num_nodes() / PAGE);
+        assert_eq!((resident(&cache.slots), resident(&cache.symbolic)), (0, 0));
+        // reads allocate nothing
+        assert!(cache.get(70_000 % g.num_nodes()).is_none());
+        assert!(!cache.has_timeline(0));
+        assert!(cache.get_symbolic(0).is_none());
+        assert_eq!((resident(&cache.slots), resident(&cache.symbolic)), (0, 0));
+        cache.timeline(0);
+        assert_eq!((resident(&cache.slots), resident(&cache.symbolic)), (1, 0));
+        assert_eq!(cache.computed(), 1);
+    }
+
+    #[test]
+    fn programs_without_a_finite_state_view_never_allocate_a_symbolic_page() {
+        let n = 2 * PAGE + 3;
+        let g = oriented_ring(n).unwrap();
+        let program = mover();
+        assert!(program.finite_state().is_none());
+        let cache = TrajectoryCache::new(&g, &program, 32);
+        for u in (0..n).step_by(97).chain([n - 1]) {
+            let v = (u + 500) % n;
+            cache.simulate_deltas(u, v, &[0, 1, 2]);
+            cache.simulate(&Stic::new(v, u, 4));
+            assert!(cache.symbolic_timeline(u).is_none());
+        }
+        assert_eq!(resident(&cache.slots), 3);
+        assert_eq!(resident(&cache.symbolic), 0);
+        assert_eq!(cache.computed_symbolic(), 0);
+    }
+
+    #[test]
+    fn racing_preload_and_record_on_a_fresh_page_install_exactly_one_timeline() {
+        let n = 2 * PAGE + 3;
+        let g = oriented_ring(n).unwrap();
+        let program = mover();
+        let u = PAGE + 5;
+        // the preloaded recording is longer than the cache horizon, so the
+        // held timeline tells which side won
+        let longer = Timeline::record(&g, &program, u, 30);
+        for _ in 0..32 {
+            let cache = TrajectoryCache::new(&g, &program, 20);
+            let barrier = std::sync::Barrier::new(2);
+            let (won, seen) = std::thread::scope(|s| {
+                let preload = s.spawn(|| {
+                    barrier.wait();
+                    cache.preload(u, longer.clone())
+                });
+                let record = s.spawn(|| {
+                    barrier.wait();
+                    cache.timeline(u)
+                });
+                (preload.join().unwrap(), record.join().unwrap())
+            });
+            let held = cache.get(u).unwrap();
+            assert!(std::ptr::eq(seen, held), "both sides observe the installed timeline");
+            assert_eq!(held.recorded_horizon(), if won { 30 } else { 20 });
+            assert_eq!(cache.computed(), 1);
+            assert_eq!(resident(&cache.slots), 1);
+        }
+    }
+
+    /// A cache on a graph whose last page holds 3 real nodes, with that
+    /// page resident when `touch_last_page` is set.
+    fn padded_cache<'a>(
+        g: &'a PortGraph,
+        program: &'a dyn AgentProgram,
+        touch_last_page: bool,
+    ) -> TrajectoryCache<'a> {
+        assert_eq!(g.num_nodes(), PAGE + 3);
+        let cache = TrajectoryCache::new(g, program, 8);
+        if touch_last_page {
+            cache.timeline(PAGE + 2);
+        }
+        cache
+    }
+
+    #[test]
+    #[should_panic(expected = "start node out of range")]
+    fn timeline_panics_on_a_start_in_the_last_pages_padding() {
+        let (g, program) = (oriented_ring(PAGE + 3).unwrap(), mover());
+        padded_cache(&g, &program, true).timeline(PAGE + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "start node out of range")]
+    fn get_panics_on_a_start_in_an_unallocated_last_page() {
+        let (g, program) = (oriented_ring(PAGE + 3).unwrap(), mover());
+        padded_cache(&g, &program, false).get(PAGE + 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "start node out of range")]
+    fn has_timeline_panics_on_a_start_in_the_last_pages_padding() {
+        let (g, program) = (oriented_ring(PAGE + 3).unwrap(), mover());
+        padded_cache(&g, &program, true).has_timeline(2 * PAGE - 1);
+    }
+
+    /// Waits forever on its start node: a finite-state program whose cycle
+    /// detection converges at once on any graph.
+    struct Parker;
+
+    impl crate::navigator::FiniteStateProgram for Parker {
+        fn initial_state(&self) -> u64 {
+            0
+        }
+        fn decide(&self, _state: u64, _degree: usize, _entry: Option<usize>) -> StepDecision {
+            StepDecision { action: StepAction::Wait(1), next: 0 }
+        }
+    }
+
+    impl AgentProgram for Parker {
+        fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
+            crate::navigator::drive_finite_state(self, nav)
+        }
+        fn finite_state(&self) -> Option<&dyn crate::navigator::FiniteStateProgram> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn preloads_refuse_starts_out_of_range() {
+        let g = oriented_ring(PAGE + 3).unwrap();
+        let program = Parker;
+        let symbolic = detect_symbolic(&g, &program, 0).expect("a parked walk is periodic");
+        for touch_last_page in [false, true] {
+            let cache = padded_cache(&g, &program, touch_last_page);
+            let before = resident(&cache.slots);
+            for start in [PAGE + 3, 2 * PAGE - 1, 2 * PAGE, usize::MAX] {
+                let t = Timeline::record(&g, &program, 0, 8);
+                assert!(!cache.preload(start, t), "preload({start})");
+                assert!(!cache.preload_symbolic(start, symbolic.clone()), "symbolic {start}");
+            }
+            assert_eq!(cache.computed(), usize::from(touch_last_page));
+            assert_eq!((resident(&cache.slots), resident(&cache.symbolic)), (before, 0));
+        }
     }
 }

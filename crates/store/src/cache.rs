@@ -2018,6 +2018,44 @@ mod tests {
     }
 
     #[test]
+    fn timelines_spanning_several_cache_pages_round_trip_byte_identically() {
+        let dir = TempDir::new("timelines-paged");
+        let store = store_in(&dir);
+        // 2304 nodes: the engine's slot pages hold 1024, 1024 and 256 nodes
+        let g = oriented_torus(48, 48).unwrap();
+        let program = Walker { seed: 0x5EED };
+        let key = "test-walker-5eed";
+        let starts = [0, 5, 1023, 1024, 2047, 2048, 2303];
+        let queries: Vec<Stic> = starts
+            .iter()
+            .zip(starts.iter().rev())
+            .flat_map(|(&u, &v)| [Stic::new(u, v, 0), Stic::new(u, v, 3)])
+            .collect();
+
+        let cold = SweepEngine::new(&g, &program, EngineConfig::batch(64));
+        let cold_outcomes: Vec<SimOutcome> = queries.iter().map(|s| cold.simulate(s)).collect();
+        let persisted = store.persist_engine(&cold, key).unwrap();
+        assert_eq!(persisted, cold.cache().computed());
+        assert_eq!(persisted, starts.len());
+        let path = store.timelines_path(&g, key);
+        let first = fs::read(&path).unwrap();
+
+        // a warm engine installs every stored timeline and answers bit-identically
+        let warm = SweepEngine::new(&g, &program, EngineConfig::batch(64));
+        let warmed = store.warm_engine(&warm, key);
+        assert_eq!((warmed.installed, warmed.prefix), (persisted, 0));
+        let installed: Vec<NodeId> = warm.cache().computed_timelines().map(|(u, _)| u).collect();
+        assert_eq!(installed, starts);
+        let warm_outcomes: Vec<SimOutcome> = queries.iter().map(|s| warm.simulate(s)).collect();
+        assert_eq!(warm_outcomes, cold_outcomes);
+        assert_eq!(warm.cache().computed(), persisted, "warm queries recorded nothing new");
+
+        // persisting the same engine again writes the same bytes
+        assert_eq!(store.persist_engine(&cold, key).unwrap(), persisted);
+        assert_eq!(fs::read(&path).unwrap(), first);
+    }
+
+    #[test]
     fn longer_recordings_supersede_shorter_ones_in_place_and_never_vice_versa() {
         let dir = TempDir::new("timeline-supersede");
         let store = store_in(&dir);
