@@ -1,6 +1,6 @@
 //! Perf-tracking bench for the **timeline-merge kernels** — the inner loop
-//! every warm sweep spends its time in, measured in the three temperatures
-//! the store serves:
+//! every warm sweep spends its time in, measured in the two shapes the
+//! sweeps run:
 //!
 //! * **cold merge** — one sort-merge of two recorded timelines from round
 //!   zero ([`merge_timelines`]);
@@ -8,10 +8,7 @@
 //!   shared pass of the δ-sweep kernel ([`merge_timelines_deltas`], one
 //!   binary occupancy probe per later segment, no scratch), what
 //!   `PlannedSweep::run`, `serve_prefix` and `run_streamed` fan rayon out
-//!   over;
-//! * **prefix extend** — a horizon-`h` outcome resumed at `H = 2h` instead
-//!   of restarted ([`merge_timelines_extend`]), the warm-extend path of
-//!   `SweepSession::run_plan`.
+//!   over.
 //!
 //! Timelines are recorded once outside the timing loops (the trajectory
 //! cache's job); the rows time merging only, which is exactly the cost a
@@ -19,16 +16,13 @@
 //!
 //! [`merge_timelines`]: anonrv_sim::merge_timelines
 //! [`merge_timelines_deltas`]: anonrv_sim::merge_timelines_deltas
-//! [`merge_timelines_extend`]: anonrv_sim::merge_timelines_extend
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use anonrv_bench::SweepWalker;
 use anonrv_graph::generators::oriented_torus;
-use anonrv_sim::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_extend, Round, Stic, Timeline,
-};
+use anonrv_sim::{merge_timelines, merge_timelines_deltas, Round, Stic, Timeline};
 
 const HORIZON: Round = 4096;
 const DELTAS: u32 = 8;
@@ -51,13 +45,6 @@ fn bench_merge_kernel(c: &mut Criterion) {
 
     group.bench_function("warm-timeline delta sweep (8 deltas, shared pass)", |b| {
         b.iter(|| merge_timelines_deltas(black_box(&earlier), black_box(&later), &deltas, HORIZON))
-    });
-
-    let prior = merge_timelines(&earlier, &later, &stic, HORIZON / 2);
-    group.bench_function("prefix extend (resume 2048 -> 4096)", |b| {
-        b.iter(|| {
-            merge_timelines_extend(black_box(&earlier), black_box(&later), &stic, &prior, HORIZON)
-        })
     });
     group.finish();
 }

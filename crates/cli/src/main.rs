@@ -859,11 +859,6 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
                 ("recorded", round_json(recorded)),
                 ("remerged", Value::from(remerged)),
             ]),
-            OutcomeProvenance::WarmExtend { recorded, extended } => obs::json::obj([
-                ("kind", Value::from("warm_extend")),
-                ("recorded", round_json(recorded)),
-                ("extended", Value::from(extended)),
-            ]),
             OutcomeProvenance::Symbolic { detected } => obs::json::obj([
                 ("kind", Value::from("symbolic")),
                 ("detected", Value::from(detected)),
@@ -903,11 +898,6 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
              executions)",
             plan.num_representative_queries(),
             stats.timeline_misses,
-        ),
-        (Some(_), OutcomeProvenance::WarmExtend { recorded, extended }) => format!(
-            "outcomes warm-extend (recorded at horizon {recorded}, served at {horizon}: \
-             {extended} of {} representative merges resumed at the recorded horizon)",
-            plan.num_representative_queries(),
         ),
         (Some(_), OutcomeProvenance::Cold) => format!(
             "orbits {}, timelines {}, outcomes cold (persisted)",
@@ -1618,6 +1608,20 @@ mod tests {
         // an explicit delta list is accepted and normalised
         assert_eq!(parse_deltas("3,1,1").unwrap(), vec![1, 3]);
         assert_eq!(parse_deltas("4").unwrap(), vec![0, 1, 2, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_shard_mode_refuses_zero_shards_with_one_message() {
+        let dir =
+            std::env::temp_dir().join(format!("anonrv-cli-zeroshards-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cache = dir.to_string_lossy().to_string();
+        let base = ["sweep", "ring:6", "--cache-dir", &cache, "--shards", "0"];
+        for mode in [&["--shard-index", "0"][..], &["--merge"], &["--supervised"]] {
+            let err = run(&argv(&[&base[..], mode].concat())).unwrap_err();
+            assert_eq!(err, "--shards must be at least 1", "{mode:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -240,25 +240,6 @@ fn validate_truncation(full: &SweepPlan, plan: &SweepPlan) -> Result<(), String>
     Ok(())
 }
 
-/// Check that `plan` is a valid extension target of `prior`: the same
-/// partition and δ-grid at a horizon at least the recorded one.
-fn validate_extension(prior: &SweepPlan, plan: &SweepPlan) -> Result<(), String> {
-    if plan.orbits() != prior.orbits() {
-        return Err("cannot extend onto a different graph / partition".into());
-    }
-    if plan.deltas() != prior.deltas() {
-        return Err("cannot extend onto a different delay grid".into());
-    }
-    if plan.horizon() < prior.horizon() {
-        return Err(format!(
-            "cannot extend a horizon-{} table down to {}",
-            prior.horizon(),
-            plan.horizon()
-        ));
-    }
-    Ok(())
-}
-
 /// The horizon-`h` outcome a longer-horizon entry determines by the prefix
 /// property alone, or `None` when only the trajectories know (no meeting by
 /// `h`: the move/termination totals are totals *at* `h`).
@@ -752,46 +733,6 @@ impl<'a> PlannedSweep<'a> {
         Ok((outcomes, jobs.len()))
     }
 
-    /// Extend a **shorter**-horizon outcome table to `plan`'s larger horizon
-    /// without restarting any merge from round zero: `prior` must describe
-    /// the same partition and δ-grid at `prior.plan().horizon() <=
-    /// plan.horizon()`, and every entry must be exact at that horizon (the
-    /// contract a checksummed store table satisfies).  Entries that already
-    /// met are final by stop-propagation and are served in O(1); unmet
-    /// entries resume their merge at the recorded horizon through
-    /// [`SweepEngine::simulate_extend`], fanned out with rayon.  The result
-    /// is bit-identical to executing `plan` cold.  Returns the extended
-    /// table and the number of entries that needed a resumed merge.
-    pub fn extend_table<'p>(
-        &self,
-        prior: &PlannedOutcomes<'_>,
-        plan: &'p SweepPlan,
-    ) -> Result<(PlannedOutcomes<'p>, usize), String> {
-        validate_extension(prior.plan(), plan)?;
-        assert!(
-            plan.horizon() <= self.engine.config().horizon,
-            "plan horizon exceeds the engine horizon"
-        );
-        let h = plan.horizon();
-        let ndeltas = plan.deltas().len().max(1);
-        let table: Vec<SimOutcome> = (0..prior.table().len())
-            .into_par_iter()
-            .map(|slot| {
-                let (r, c) = plan.orbits().representative(slot / ndeltas);
-                let stic = Stic::new(r, c, plan.deltas()[slot % ndeltas]);
-                self.engine.simulate_extend(&stic, &prior.table()[slot], h)
-            })
-            .collect();
-        let extended = prior
-            .table()
-            .iter()
-            .enumerate()
-            .filter(|(slot, o)| o.meeting.is_none() && plan.deltas()[slot % ndeltas] <= h)
-            .count();
-        anonrv_obs::counter_add("plan.extends", extended as u64);
-        Ok((PlannedOutcomes::from_table(plan, table)?, extended))
-    }
-
     /// Validate the broadcast on a deterministic sample: every
     /// `sample_every`-th non-representative member query of the plan's grid
     /// is re-simulated *directly* through the underlying engine (no
@@ -1080,46 +1021,6 @@ mod tests {
         let other_graph = oriented_ring(12).unwrap();
         let foreign = SweepPlan::new(&other_graph, deltas, 10);
         assert!(full.truncate(&foreign, |_| unreachable!()).is_err());
-    }
-
-    #[test]
-    fn extended_tables_are_bit_identical_to_cold_runs_at_the_larger_horizon() {
-        let g = oriented_torus(3, 4).unwrap();
-        let program = Walker { seed: 0x5EED };
-        let deltas: Vec<Round> = vec![0, 2, 5, 40];
-        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
-        for recorded in [0 as Round, 1, 3, 10, 30, 64] {
-            let prior_plan =
-                SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), recorded);
-            let prior = planned.run(&prior_plan);
-            for h in [recorded, 40, 64] {
-                if h < recorded {
-                    continue;
-                }
-                let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), h);
-                let (served, extended) = planned.extend_table(&prior, &plan).unwrap();
-                let cold = planned.run(&plan);
-                assert_eq!(served.table(), cold.table(), "{recorded} -> {h}");
-                // met priors are final and never count as resumed merges
-                let unmet = prior
-                    .table()
-                    .iter()
-                    .enumerate()
-                    .filter(|(slot, o)| o.meeting.is_none() && deltas[slot % deltas.len()] <= h)
-                    .count();
-                assert_eq!(extended, unmet, "{recorded} -> {h}: resumed-merge count");
-            }
-        }
-        // refusals: smaller horizon, different grid, different partition
-        let prior_plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), 30);
-        let prior = planned.run(&prior_plan);
-        let shorter = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), 10);
-        assert!(planned.extend_table(&prior, &shorter).is_err());
-        let other_grid = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
-        assert!(planned.extend_table(&prior, &other_grid).is_err());
-        let other_graph = oriented_ring(12).unwrap();
-        let foreign = SweepPlan::new(&other_graph, deltas, 64);
-        assert!(planned.extend_table(&prior, &foreign).is_err());
     }
 
     #[test]

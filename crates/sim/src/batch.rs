@@ -33,10 +33,6 @@
 //!   recorded timeline serves every class of a vertex-transitive graph.
 //!   It needs no scratch and keeps no telemetry: its callers count passes;
 //! * [`merge_timelines_deltas`] — the same kernel under the identity map;
-//! * [`merge_timelines_extend`] — the incremental mode: extend an exact
-//!   horizon-`h` outcome to `H >= h` by resuming the sort-merge at the
-//!   segments still open at `h` instead of restarting, which is what serves
-//!   a stored outcome table recorded at a smaller horizon;
 //! * `merge_timelines_reference` — the retained pre-kernel single-STIC
 //!   merge (a binary occupancy probe per later segment), compiled only
 //!   under `cfg(test)` or the `ref-oracle` feature as an independent
@@ -586,26 +582,19 @@ pub fn merge_timelines(
         // the later agent never even appears within the horizon
         return SimOutcome::no_show(horizon);
     }
-    merge_forward(earlier, later, stic.delay, 0, 0, horizon)
+    merge_forward(earlier, later, stic.delay, horizon)
 }
 
-/// The two-cursor sweep behind [`merge_timelines`] and
-/// [`merge_timelines_extend`]: advance cursors `i` (earlier) and `j`
-/// (later) through the segment arrays, comparing the earlier segment's
-/// global interval `[sa[i], sa[i+1])` against the later segment's
+/// The two-cursor sweep behind [`merge_timelines`]: advance cursors `i`
+/// (earlier) and `j` (later) from the first segments, comparing the earlier
+/// segment's global interval `[sa[i], sa[i+1])` against the later segment's
 /// delay-shifted, horizon-clipped interval; the nonempty intersections are
 /// visited in strictly increasing time order, so the first one whose nodes
 /// agree yields the earliest meeting.  The per-step cursor advance is a
 /// pair of flag additions — no data-dependent branch beyond the meeting
 /// test itself.
-fn merge_forward(
-    earlier: &Timeline,
-    later: &Timeline,
-    delay: Round,
-    mut i: usize,
-    mut j: usize,
-    horizon: Round,
-) -> SimOutcome {
+fn merge_forward(earlier: &Timeline, later: &Timeline, delay: Round, horizon: Round) -> SimOutcome {
+    let (mut i, mut j) = (0, 0);
     // the later agent's run is truncated at this local round
     let later_cap = horizon - delay;
     let cap1 = later_cap.saturating_add(1);
@@ -670,54 +659,6 @@ fn merge_outcome(
         later_terminated: later.tail_index() == Some(j),
         horizon,
     }
-}
-
-/// Extend a horizon-`prior.horizon` merge result of the same
-/// `(earlier, later, stic)` triple to a larger `horizon` **without
-/// restarting**: a met outcome is final (only the reporting horizon
-/// changes), and an unmet one resumes the sort-merge at the segments still
-/// open at the already-answered horizon — the prior outcome being exact
-/// there guarantees no equal-node window opens at or before it.
-/// Bit-identical to `merge_timelines(earlier, later, stic, horizon)`.
-pub fn merge_timelines_extend(
-    earlier: &Timeline,
-    later: &Timeline,
-    stic: &Stic,
-    prior: &SimOutcome,
-    horizon: Round,
-) -> SimOutcome {
-    assert!(
-        prior.horizon <= horizon,
-        "cannot extend a horizon-{} outcome down to {horizon}",
-        prior.horizon
-    );
-    if anonrv_obs::enabled() {
-        anonrv_obs::counter_add("merge.extend.calls", 1);
-    }
-    if prior.meeting.is_some() {
-        return SimOutcome { horizon, ..*prior };
-    }
-    if stic.delay > horizon {
-        return SimOutcome::no_show(horizon);
-    }
-    if stic.delay > prior.horizon {
-        // the prior run never placed the later agent: nothing to resume from
-        return merge_timelines(earlier, later, stic, horizon);
-    }
-    let h = prior.horizon;
-    let na = earlier.nodes.len();
-    let nb = later.nodes.len();
-    // resume at the segments still open at `h`: every skipped pair's
-    // intersection closes at or before `h`, where the (exact) prior outcome
-    // already ruled out a meeting
-    let i = earlier.starts[1..=na].partition_point(|&end| end <= h);
-    let j = later.starts[1..=nb].partition_point(|&end| end <= h - stic.delay);
-    let out = merge_forward(earlier, later, stic.delay, i, j, horizon);
-    debug_assert!(
-        out.meeting.is_none_or(|m| m.global_round > h),
-        "a meeting at or before the prior horizon contradicts the prior outcome"
-    );
-    out
 }
 
 /// Merge two cached timelines for a whole **delay sweep** of one `(u, v)`
@@ -1214,47 +1155,6 @@ impl<'a> TrajectoryCache<'a> {
         merge_timelines(self.timeline(stic.earlier), self.timeline(stic.later), stic, horizon)
     }
 
-    /// Extend a previously computed outcome of `stic` (exact at
-    /// `prior.horizon`) to a larger `horizon <= self.horizon()` without
-    /// restarting the merge (see [`merge_timelines_extend`]); bit-identical
-    /// to `simulate_capped(stic, horizon)`.  A met prior outcome is served
-    /// without touching (or recording) any timeline.
-    pub fn simulate_extend(&self, stic: &Stic, prior: &SimOutcome, horizon: Round) -> SimOutcome {
-        assert!(
-            horizon <= self.horizon,
-            "query horizon {horizon} exceeds the cache horizon {}",
-            self.horizon
-        );
-        assert!(
-            prior.horizon <= horizon,
-            "cannot extend a horizon-{} outcome down to {horizon}",
-            prior.horizon
-        );
-        assert!(stic.earlier < self.graph.num_nodes(), "earlier start node out of range");
-        assert!(stic.later < self.graph.num_nodes(), "later start node out of range");
-        if prior.meeting.is_some() {
-            // a meeting is final: only the reporting horizon changes
-            return SimOutcome { horizon, ..*prior };
-        }
-        if stic.delay > horizon {
-            return SimOutcome::no_show(horizon);
-        }
-        if horizon > UNROLL_CAP {
-            // extending an unmet outcome is bit-identical to a full merge,
-            // so the closed-form path can serve it without any timeline
-            if let Some(outcome) = self.simulate_symbolic(stic, horizon) {
-                return outcome;
-            }
-        }
-        merge_timelines_extend(
-            self.timeline(stic.earlier),
-            self.timeline(stic.later),
-            stic,
-            prior,
-            horizon,
-        )
-    }
-
     /// Simulate one `(u, v)` pair under **every** delay in `deltas` in a
     /// single pass over the cached timelines (see
     /// [`merge_timelines_deltas`]); outcome `i` is bit-identical to
@@ -1391,21 +1291,6 @@ impl<'a> SweepEngine<'a> {
                 .iter()
                 .map(|&delta| self.simulate_capped(&Stic::new(u, v, delta), horizon))
                 .collect(),
-        }
-    }
-
-    /// Extend a previously computed outcome of `stic` (exact at
-    /// `prior.horizon`) to `horizon <= config.horizon` — bit-identical to
-    /// `simulate_capped(stic, horizon)`.  The batch path resumes the merge
-    /// where the prior horizon left off
-    /// ([`TrajectoryCache::simulate_extend`]); pinned per-call modes
-    /// recompute from scratch, as they have no merge to resume.
-    pub fn simulate_extend(&self, stic: &Stic, prior: &SimOutcome, horizon: Round) -> SimOutcome {
-        match self.config.mode {
-            EngineMode::Auto | EngineMode::Batch => {
-                self.cache.simulate_extend(stic, prior, horizon)
-            }
-            EngineMode::Streaming | EngineMode::Lockstep => self.simulate_capped(stic, horizon),
         }
     }
 }
@@ -1881,63 +1766,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn extending_a_merge_matches_a_full_merge_at_the_larger_horizon() {
-        let g = oriented_torus(3, 4).unwrap();
-        let n = g.num_nodes();
-        let full: Round = 60;
-        for lifetime in [None, Some(6)] {
-            let program = ScriptedStepper { lifetime };
-            let timelines: Vec<Timeline> =
-                (0..n).map(|u| Timeline::record(&g, &program, u, full)).collect();
-            for u in 0..n {
-                for v in [0usize, 4, 11] {
-                    for delta in [0 as Round, 1, 5, 20] {
-                        let stic = Stic::new(u, v, delta);
-                        for h in [0 as Round, 1, 4, 15, 33, full] {
-                            let prior = merge_timelines(&timelines[u], &timelines[v], &stic, h);
-                            for target in [h, (h + full) / 2, full] {
-                                let extended = merge_timelines_extend(
-                                    &timelines[u],
-                                    &timelines[v],
-                                    &stic,
-                                    &prior,
-                                    target,
-                                );
-                                let direct =
-                                    merge_timelines(&timelines[u], &timelines[v], &stic, target);
-                                assert_eq!(
-                                    extended, direct,
-                                    "extend {h} -> {target} diverged on {stic}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cache_extend_reuses_met_outcomes_without_recording() {
-        let g = oriented_ring(6).unwrap();
-        let program = mover();
-        let reference = TrajectoryCache::new(&g, &program, 100);
-        let stic = Stic::new(0, 3, 3);
-        let prior = reference.simulate_capped(&stic, 50);
-        assert!(prior.met(), "the ring movers meet within 50 rounds");
-        // a met prior is served without touching any timeline
-        let cache = TrajectoryCache::new(&g, &program, 100);
-        let extended = cache.simulate_extend(&stic, &prior, 100);
-        assert_eq!(extended, reference.simulate_capped(&stic, 100));
-        assert_eq!(cache.computed(), 0, "met outcomes must not record timelines");
-        // an unmet prior resumes the merge (recording on demand)
-        let unmet = reference.simulate_capped(&Stic::new(0, 0, 99), 99);
-        assert!(!unmet.met());
-        let resumed = cache.simulate_extend(&Stic::new(0, 0, 99), &unmet, 100);
-        assert_eq!(resumed, reference.simulate_capped(&Stic::new(0, 0, 99), 100));
     }
 
     #[test]

@@ -485,6 +485,18 @@ impl Store {
         g: &PortGraph,
         program_key: &str,
     ) -> Option<Vec<(NodeId, Timeline)>> {
+        rebuild_timelines(g.num_nodes(), self.load_timeline_entries(g, program_key)?)
+    }
+
+    /// The decoded `(start, recorded horizon, columns)` entries of the
+    /// timelines artifact, frame- and identity-checked but not yet rebuilt:
+    /// callers drop the entries they cannot use before paying for the
+    /// occupancy-index rebuild.
+    fn load_timeline_entries(
+        &self,
+        g: &PortGraph,
+        program_key: &str,
+    ) -> Option<Vec<(NodeId, Round, TimelineParts)>> {
         let path = self.timelines_path(g, program_key);
         let bytes = self.read_artifact(&path)?;
         let mut d = self.gate_frame(&path, Kind::Timelines, &bytes)?;
@@ -522,7 +534,7 @@ impl Store {
         if summary != distinct_horizons(entries.iter().map(|&(_, h, _)| h)) || !d.exhausted() {
             return None;
         }
-        rebuild_timelines(n, entries)
+        Some(entries)
     }
 
     /// Persist a set of recorded timelines, each at its own recorded
@@ -558,16 +570,19 @@ impl Store {
     /// not copied down, because the merge kernels clip every query at its
     /// own horizon, which is exact (and bit-identical to a cold recording
     /// at that horizon) because truncated runs are prefixes.  Queries on
-    /// installed start nodes skip program execution entirely.
+    /// installed start nodes skip program execution entirely.  A shorter
+    /// recording cannot stand in for a fresh one and is dropped before its
+    /// occupancy index is rebuilt.
     pub fn warm_engine(&self, engine: &SweepEngine<'_>, program_key: &str) -> WarmedTimelines {
         let cache = engine.cache();
         let horizon = cache.horizon();
         let mut warmed = WarmedTimelines::default();
-        if let Some(timelines) = self.load_timelines(cache.graph(), program_key) {
+        let usable = self.load_timeline_entries(cache.graph(), program_key).and_then(|mut e| {
+            e.retain(|&(_, recorded, _)| recorded >= horizon);
+            rebuild_timelines(cache.graph().num_nodes(), e)
+        });
+        if let Some(timelines) = usable {
             for (u, t) in timelines {
-                if t.recorded_horizon() < horizon {
-                    continue; // too short to stand in for a fresh recording
-                }
                 let prefix = t.recorded_horizon() > horizon;
                 if cache.preload(u, t) {
                     warmed.installed += 1;
@@ -616,7 +631,15 @@ impl Store {
             return Ok(0);
         }
         self.with_lock(&self.timelines_path(g, program_key), || {
-            let existing = self.load_timelines(g, program_key).unwrap_or_default();
+            // an entry the cache holds at least as long a recording of is
+            // superseded: drop it before its occupancy index is rebuilt
+            let existing = self
+                .load_timeline_entries(g, program_key)
+                .and_then(|mut e| {
+                    e.retain(|&(u, h, _)| cache.get(u).is_none_or(|t| t.recorded_horizon() < h));
+                    rebuild_timelines(g.num_nodes(), e)
+                })
+                .unwrap_or_default();
             let mut merged: Vec<Option<&Timeline>> = vec![None; g.num_nodes()];
             for (u, t) in &existing {
                 merged[*u] = Some(t);
@@ -782,31 +805,42 @@ impl Store {
     /// Returns the table together with the horizon it was recorded at:
     /// equal to `plan.horizon()` on an exact hit, larger on a prefix hit
     /// (truncate it down with [`anonrv_plan::PlannedOutcomes::truncate`]).
+    /// A table recorded at a shorter horizon is a miss, refused before its
+    /// body is decoded; the cold run that follows supersedes it.
     pub fn load_plan_outcomes(
         &self,
         g: &PortGraph,
         program_key: &str,
         plan: &SweepPlan,
     ) -> Option<(Vec<SimOutcome>, Round)> {
-        let (table, recorded) = self.load_plan_outcomes_any(g, program_key, plan)?;
-        (recorded >= plan.horizon()).then_some((table, recorded))
+        self.load_outcomes_recorded_at_least(g, program_key, plan, plan.horizon())
     }
 
     /// Like [`Store::load_plan_outcomes`], but **without** the
-    /// `recorded >= plan.horizon()` gate: a table recorded at a *shorter*
-    /// horizon is returned too.  This is what the warm-extend path feeds to
-    /// [`anonrv_sim::SweepEngine::simulate_extend`] — a shorter recording
-    /// is not a miss, it is a resumable prefix of the requested sweep.
+    /// `recorded >= plan.horizon()` gate: the stored table is returned at
+    /// whatever horizon it was recorded at.  This is the unguarded probe a
+    /// caller uses to time the store read path on its own, deciding about
+    /// the horizon itself (the benchmark's traced `torus-warm` job).
     pub fn load_plan_outcomes_any(
         &self,
         g: &PortGraph,
         program_key: &str,
         plan: &SweepPlan,
     ) -> Option<(Vec<SimOutcome>, Round)> {
+        self.load_outcomes_recorded_at_least(g, program_key, plan, 0)
+    }
+
+    fn load_outcomes_recorded_at_least(
+        &self,
+        g: &PortGraph,
+        program_key: &str,
+        plan: &SweepPlan,
+        at_least: Round,
+    ) -> Option<(Vec<SimOutcome>, Round)> {
         let path = self.outcomes_path(g, program_key, plan);
         let bytes = self.read_artifact(&path)?;
         let d = self.gate_frame(&path, Kind::Outcomes, &bytes)?;
-        decode_outcomes_body(d, g, program_key, plan)
+        decode_outcomes_body(d, g, program_key, plan, at_least)
     }
 
     /// Persist an executed plan's representative-outcome table
@@ -830,10 +864,8 @@ impl Store {
         let path = self.outcomes_path(g, program_key, plan);
         self.with_lock(&path, || {
             if let Ok(bytes) = fs::read(&path) {
-                if let Some((_, recorded)) = decode_outcomes_payload(&bytes, g, program_key, plan) {
-                    if recorded >= plan.horizon() {
-                        return Ok(()); // the disk already serves this horizon
-                    }
+                if decode_outcomes_payload(&bytes, g, program_key, plan).is_some() {
+                    return Ok(()); // the disk already serves this horizon
                 }
             }
             let mut e = Enc::new();
@@ -1432,8 +1464,8 @@ fn peek_table_identity(d: &mut Dec<'_>) -> Option<(PlanIdentity, Round)> {
 }
 
 /// Decode and identity-check a full outcomes payload against a query;
-/// `None` on any gate failure.  Returns the table and its recorded horizon
-/// (the `recorded >= needed` comparison is the caller's).
+/// `None` on any gate failure, including a table recorded at a horizon
+/// shorter than the query's.  Returns the table and its recorded horizon.
 fn decode_outcomes_payload(
     bytes: &[u8],
     g: &PortGraph,
@@ -1441,19 +1473,24 @@ fn decode_outcomes_payload(
     plan: &SweepPlan,
 ) -> Option<(Vec<SimOutcome>, Round)> {
     let d = unframe(Kind::Outcomes, bytes)?;
-    decode_outcomes_body(d, g, program_key, plan)
+    decode_outcomes_body(d, g, program_key, plan, plan.horizon())
 }
 
 /// The payload half of [`decode_outcomes_payload`], over an already
 /// frame-gated decoder (the load path gates — and quarantines — first).
+/// A table recorded below `at_least` is `None` before its body is decoded.
 fn decode_outcomes_body(
     mut d: Dec<'_>,
     g: &PortGraph,
     program_key: &str,
     plan: &SweepPlan,
+    at_least: Round,
 ) -> Option<(Vec<SimOutcome>, Round)> {
     decode_plan_identity(&mut d, g, program_key, plan)?;
     let recorded = d.u128()?;
+    if recorded < at_least {
+        return None;
+    }
     let table = decode_outcome_table(&mut d)?;
     if table.len() != plan.num_representative_queries() {
         return None;
@@ -2088,6 +2125,16 @@ mod tests {
         store.persist_engine(&short, key).unwrap();
         assert_eq!(horizon_of(0), Some(100), "a shorter recording must never supersede");
         assert_eq!(horizon_of(1), Some(10), "nodes only the short engine touched persist");
+
+        // warming installs exactly the recordings that cover the engine's
+        // horizon: node 1's horizon-10 entry cannot serve 100
+        let warm = SweepEngine::new(&g, &program, EngineConfig::batch(100));
+        let warmed = store.warm_engine(&warm, key);
+        assert_eq!((warmed.installed, warmed.prefix), (2, 0));
+        assert!(warm.cache().has_timeline(0) && !warm.cache().has_timeline(1));
+        let warm = SweepEngine::new(&g, &program, EngineConfig::batch(10));
+        let warmed = store.warm_engine(&warm, key);
+        assert_eq!((warmed.installed, warmed.prefix), (3, 2));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```text
 //!   plan        orbits: closed-form groups computed (no I/O); explicit
 //!               groups store-probed (verified load) or computed, saved back
-//!   cache-probe outcome table: exact hit / prefix hit / extend hit / miss;
+//!   cache-probe outcome table: exact hit / prefix hit / miss;
 //!               trajectory timelines: preload (served as-is; the merge
 //!               kernels clip at each query's horizon) on first use
 //!   execute     only what the probes left: representative merges (and, cold,
@@ -38,11 +38,9 @@
 //! [`PlannedOutcomes::truncate`] — both exact, because `Stop` propagation
 //! makes the `h`-run a bit-identical prefix of the `H`-run.  A prefix
 //! outcome hit re-runs only the merges the prefix alone cannot determine,
-//! through warm timelines: **zero program executions**.  The opposite
-//! direction is served too: a table recorded at `H < h` is **extended** up
-//! ([`anonrv_plan::PlannedSweep::extend_table`]) — met entries are final by
-//! stop-propagation and cost O(1), only the unmet ones resume their merge
-//! at the recorded horizon.
+//! through warm timelines: **zero program executions**.  A table recorded
+//! at `H < h` is a plain miss: the cold run records the longer timelines
+//! and table, and both supersede the shorter ones on disk.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -73,15 +71,6 @@ pub enum OutcomeProvenance {
         /// Entries the prefix alone could not determine (re-merged warm).
         remerged: usize,
     },
-    /// Loaded from a table recorded at a **shorter** horizon and extended
-    /// up: met entries are final by stop-propagation and served in O(1);
-    /// only the unmet ones resumed their merge at the recorded horizon.
-    WarmExtend {
-        /// The horizon the serving table was recorded at.
-        recorded: Round,
-        /// Unmet entries whose merge resumed at the recorded horizon.
-        extended: usize,
-    },
     /// Executed through the symbolic (prefix + cycle) path: the plan's
     /// horizon exceeds the unroll cap, so outcomes were resolved by
     /// closed-form cycle merges — zero rounds unrolled, exact at any
@@ -99,9 +88,6 @@ impl std::fmt::Display for OutcomeProvenance {
             OutcomeProvenance::WarmExact => f.write_str("warm"),
             OutcomeProvenance::WarmPrefix { recorded, remerged } => {
                 write!(f, "warm-prefix (recorded at horizon {recorded}, {remerged} re-merged)")
-            }
-            OutcomeProvenance::WarmExtend { recorded, extended } => {
-                write!(f, "warm-extend (recorded at horizon {recorded}, {extended} extended)")
             }
             OutcomeProvenance::Symbolic { detected } => {
                 write!(f, "symbolic ({detected} cycle structures, 0 unrolled rounds)")
@@ -351,7 +337,6 @@ impl<'a> SweepSession<'a> {
                     OutcomeProvenance::Cold => "session.outcome.cold",
                     OutcomeProvenance::WarmExact => "session.outcome.warm_exact",
                     OutcomeProvenance::WarmPrefix { .. } => "session.outcome.warm_prefix",
-                    OutcomeProvenance::WarmExtend { .. } => "session.outcome.warm_extend",
                     OutcomeProvenance::Symbolic { .. } => "session.outcome.symbolic",
                 },
                 1,
@@ -414,7 +399,7 @@ impl<'a> SweepSession<'a> {
 
     /// Execute a whole plan through the probe → execute → record pipeline.
     /// Returns the broadcastable outcome table and how it was obtained
-    /// (exact warm hit, prefix hit, extend hit, or cold execution; see
+    /// (exact warm hit, prefix hit, or cold execution; see
     /// [`OutcomeProvenance`]).  The plan must share this session's
     /// partition, δ-grid order and a horizon within the engine's.
     pub fn run_plan<'p>(
@@ -423,7 +408,7 @@ impl<'a> SweepSession<'a> {
     ) -> Result<(PlannedOutcomes<'p>, OutcomeProvenance), String> {
         if let Some(store) = self.store {
             let probe_span = obs::span("session.probe");
-            let probed = store.load_plan_outcomes_any(self.graph, &self.program_key, plan);
+            let probed = store.load_plan_outcomes(self.graph, &self.program_key, plan);
             drop(probe_span);
             if let Some((table, recorded)) = probed {
                 if recorded == plan.horizon() {
@@ -432,40 +417,20 @@ impl<'a> SweepSession<'a> {
                     self.note_outcome(provenance, 0, plan.num_member_queries());
                     return Ok((outcomes, provenance));
                 }
+                // prefix hit: truncate the longer table; entries the prefix
+                // alone cannot determine re-merge (rayon) through warm
+                // timelines
                 let recorded_plan =
                     SweepPlan::from_orbits(plan.orbits().clone(), plan.deltas().to_vec(), recorded);
                 self.ensure_warm();
-                if recorded > plan.horizon() {
-                    // prefix hit: truncate the longer table; entries the
-                    // prefix alone cannot determine re-merge (rayon)
-                    // through warm timelines
-                    let full = PlannedOutcomes::from_table(&recorded_plan, table)?;
-                    let execute_span = obs::span("session.execute");
-                    let (outcomes, remerged) = self.planned.serve_prefix(&full, plan)?;
-                    drop(execute_span);
-                    // self-heal: a re-merge over a missing timeline recorded it
-                    self.persist_timelines()?;
-                    let provenance = OutcomeProvenance::WarmPrefix { recorded, remerged };
-                    self.note_outcome(provenance, remerged, plan.num_member_queries());
-                    return Ok((outcomes, provenance));
-                }
-                // extend hit: the stored table is shorter; met entries are
-                // final by stop-propagation, unmet entries resume their
-                // merge at the recorded horizon (rayon) and the superseding
-                // table persists back
-                let prior = PlannedOutcomes::from_table(&recorded_plan, table)?;
+                let full = PlannedOutcomes::from_table(&recorded_plan, table)?;
                 let execute_span = obs::span("session.execute");
-                let (outcomes, extended) = self.planned.extend_table(&prior, plan)?;
+                let (outcomes, remerged) = self.planned.serve_prefix(&full, plan)?;
                 drop(execute_span);
+                // self-heal: a re-merge over a missing timeline recorded it
                 self.persist_timelines()?;
-                {
-                    let _persist_span = obs::span("session.persist");
-                    store
-                        .save_plan_outcomes(self.graph, &self.program_key, plan, outcomes.table())
-                        .map_err(|e| format!("cannot persist outcomes: {e}"))?;
-                }
-                let provenance = OutcomeProvenance::WarmExtend { recorded, extended };
-                self.note_outcome(provenance, extended, plan.num_member_queries());
+                let provenance = OutcomeProvenance::WarmPrefix { recorded, remerged };
+                self.note_outcome(provenance, remerged, plan.num_member_queries());
                 return Ok((outcomes, provenance));
             }
         }
@@ -906,8 +871,8 @@ mod tests {
     }
 
     #[test]
-    fn extend_hits_resume_merges_and_supersede_the_shorter_table() {
-        let dir = TempDir::new("session-extend");
+    fn a_shorter_stored_table_is_a_miss_superseded_by_the_cold_run() {
+        let dir = TempDir::new("session-shorter");
         let store = Store::open(&dir.0).unwrap();
         let g = oriented_torus(3, 4).unwrap();
         let program = walker();
@@ -919,27 +884,22 @@ mod tests {
         let (short_outcomes, prov) = seed.run_plan(&short_plan).unwrap();
         assert_eq!(prov, OutcomeProvenance::Cold);
 
-        // ask for a longer horizon: the short table extends up instead of
-        // the session restarting every merge from round zero
+        // ask for a longer horizon: the short table cannot serve it, so the
+        // session runs cold and matches a storeless run bit for bit
         let mut session =
             SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
         let long_plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), 64);
         let (served, prov) = session.run_plan(&long_plan).unwrap();
-        let OutcomeProvenance::WarmExtend { recorded, extended } = prov else {
-            panic!("expected an extend hit, got {prov:?}");
-        };
-        assert_eq!(recorded, 12);
-        let unmet = short_outcomes.table().iter().filter(|o| o.meeting.is_none()).count();
-        assert_eq!(extended, unmet, "only unmet entries resume their merge");
-        assert_eq!(session.stats().executed, extended);
+        assert_eq!(prov, OutcomeProvenance::Cold);
+        assert_eq!(session.stats().executed, long_plan.num_representative_queries());
         let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64))
             .run_plan(&long_plan)
             .unwrap()
             .0;
-        assert_eq!(served.table(), reference.table(), "extend-hit differential");
+        assert_eq!(served.table(), reference.table(), "shorter-table-miss differential");
 
-        // the superseding table persisted: the long horizon is now an exact
-        // hit, and the short one still serves as a prefix hit
+        // the cold table superseded the short one: the long horizon is now
+        // an exact hit, and the short one a prefix hit off it
         let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
         let (_, prov) = warm.run_plan(&long_plan).unwrap();
         assert_eq!(prov, OutcomeProvenance::WarmExact);

@@ -226,9 +226,10 @@ impl Store {
         plan: &SweepPlan,
         shards: usize,
     ) -> Result<Vec<SimOutcome>, String> {
+        ShardSpec::new(shards, 0)?; // validate the count once
         let mut parts = Vec::with_capacity(shards);
         for index in 0..shards {
-            let spec = ShardSpec::new(shards, index)?;
+            let spec = ShardSpec::new(shards, index).expect("index < shards");
             let part = self.load_shard(g, program_key, plan, spec).ok_or_else(|| {
                 format!("shard {index}/{shards} is missing or invalid in {}", self.root().display())
             })?;
